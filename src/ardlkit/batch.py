@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -334,6 +333,8 @@ def run(config: RunConfig, manifest: Manifest | None = None) -> list[CountryRow]
     cells = [(c, m) for c in config.countries for m in config.models]
     if config.workers <= 1:
         return [run_cell(manifest, config, c, m) for c, m in cells]
+
+    from concurrent.futures import ProcessPoolExecutor
 
     results: dict[tuple[str, str], CountryRow] = {}
     with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -10,22 +10,36 @@ The F restriction covers the intercept together with the level block (the
 restricted model has no regressors at all). This is the variant whose
 quantiles line up with the published small-sample tables; restricting the
 levels alone sits several tenths higher.
+
+Replications are fitted _CHUNK at a time with one batched float64 QR; a
+system that the batch cannot certify goes through the long-double reference
+kernel `_f_stat`, so rank failures and resampling follow that kernel.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import _rss_only
+from .regression import RANK_RTOL, _rss_only
 
 __all__ = ["McBounds", "McConfig", "simulate_bounds"]
 
 ALPHAS = (0.10, 0.05, 0.01)
 
 _MAX_ATTEMPTS = 50
+
+# Replications per batched QR. At k=2, n=58 a chunk's stacked [X | y] of
+# both populations is about 0.3 MB. Larger chunks run no faster (drawing the
+# per-replication substreams dominates) and raise peak resident memory.
+_CHUNK = 64
+
+# `_screen` thresholds: the margin over RANK_RTOL absorbs rounding in the
+# reference kernel's own rank test, and the RSS floor keeps F's float64
+# error far below 1e-10 relative.
+_SCREEN_RTOL = 10 * RANK_RTOL
+_RSS_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,11 @@ def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
 
 
 def _f_stat(dep: np.ndarray, regressors: np.ndarray) -> float | None:
-    """Bounds-test F for one simulated system, None on rank failure."""
+    """Bounds-test F for one simulated system, None on rank failure.
+
+    The long-double reference kernel: `_f_batch` defers to it for every
+    system its screen does not clear.
+    """
     y = np.diff(dep)
     X = np.column_stack([np.ones(y.size), dep[:-1], regressors[:-1, :]])
     p = X.shape[1]
@@ -94,27 +112,102 @@ def _f_stat(dep: np.ndarray, regressors: np.ndarray) -> float | None:
     return max(float(f), 0.0)
 
 
+def _draws(cfg: McConfig, indices: np.ndarray, attempt: int):
+    """Stacked draws of the given replications at one resample attempt.
+
+    Replication i at attempt a reads substream (0, a * replications + i):
+    n normals for the dependent walk's increments, then n x k noise
+    regressors, then n x k increments of the walk regressors, all from one
+    `standard_normal` call. Returns dep (c, n), noise and walk (c, n, k).
+    """
+    n, k = cfg.n_obs, cfg.k
+    z = np.empty((indices.size, n * (1 + 2 * k)))
+    for row, i in zip(z, indices.tolist()):
+        _stream(cfg.seed, 0, attempt * cfg.replications + i).standard_normal(out=row)
+    dep = np.cumsum(z[:, :n], axis=1)
+    noise = z[:, n : n + n * k].reshape(-1, n, k)
+    walk = np.cumsum(z[:, n + n * k :].reshape(-1, n, k), axis=1)
+    return dep, noise, walk
+
+
+def _screen(R: np.ndarray) -> np.ndarray:
+    """Systems whose float64 factor R of [X | y] may stand in for `_f_stat`.
+
+    A system is cleared when a certified lower bound on sigma_min(X) is above
+    _SCREEN_RTOL times X's largest column norm, so the reference kernel's
+    pivoted rank test (RANK_RTOL) would pass it, and when its RSS is above
+    _RSS_FLOOR times y'y, so R's last diagonal entry carries enough digits.
+    """
+    p = R.shape[-1] - 1
+    RX = R[:, :p, :p]
+    s = np.linalg.svd(RX, compute_uv=False)
+    # QR and SVD are backward stable: the computed singular values are within
+    # a small multiple of eps * sigma_max of the exact ones of X
+    sigma_low = s[:, -1] - 64 * p * np.finfo(float).eps * s[:, 0]
+    largest_col = np.sqrt(np.einsum("rij,rij->rj", RX, RX).max(axis=1))
+    rss = R[:, p, p] ** 2
+    yy = np.einsum("ri,ri->r", R[:, :, p], R[:, :, p])
+    return (sigma_low > _SCREEN_RTOL * largest_col) & (rss > _RSS_FLOOR * yy)
+
+
+def _f_batch(dep: np.ndarray, regressors: np.ndarray) -> np.ndarray:
+    """Bounds-test F of each stacked system; NaN where `_f_stat` gives None.
+
+    dep is (c, n) and regressors (c, n, k). One batched QR of [X | y] gives
+    each full-model RSS as the square of R's last diagonal entry and the
+    explained sum of squares y'y - RSS as the square norm of the column
+    above it. Systems that `_screen` does not clear are recomputed by the
+    reference kernel `_f_stat`.
+    """
+    c, n = dep.shape
+    p = regressors.shape[2] + 2
+    A = np.empty((c, n - 1, p + 1))
+    A[:, :, 0] = 1.0
+    A[:, :, 1] = dep[:, :-1]
+    A[:, :, 2:p] = regressors[:, :-1, :]
+    A[:, :, p] = np.diff(dep, axis=1)
+    R = np.linalg.qr(A, mode="r")
+    ess = np.einsum("ri,ri->r", R[:, :p, p], R[:, :p, p])
+    rss = R[:, p, p] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # rss 0 fails the screen
+        f = (ess / p) / (rss / (n - 1 - p))
+    for r in np.flatnonzero(~_screen(R)):
+        ref = _f_stat(dep[r], regressors[r])
+        f[r] = np.nan if ref is None else ref
+    return f
+
+
 def _simulate_range(cfg: McConfig, lo: int, hi: int):
-    """F pairs for replication indices [lo, hi); resamples on rank failure."""
-    n, k, reps = cfg.n_obs, cfg.k, cfg.replications
+    """F pairs for replication indices [lo, hi); resamples on rank failure.
+
+    Works through _CHUNK replications at a time. A replication whose lower
+    or upper system is rank deficient is drawn again from its next
+    substream, up to _MAX_ATTEMPTS times; each failed attempt counts once.
+    """
+    n, k = cfg.n_obs, cfg.k
+    dof = n - 1 - (k + 2)
+    if dof <= 0:
+        raise ValueError(f"n_obs too small: {dof} residual degrees of freedom")
     f_low = np.empty(hi - lo)
     f_up = np.empty(hi - lo)
     resampled = 0
-    for i in range(lo, hi):
+    for start in range(lo, hi, _CHUNK):
+        pending = np.arange(start, min(start + _CHUNK, hi))
         for attempt in range(_MAX_ATTEMPTS):
-            rng = _stream(cfg.seed, 0, attempt * reps + i)
-            dep = np.cumsum(rng.standard_normal(n))
-            noise_regs = rng.standard_normal((n, k))
-            walk_regs = np.cumsum(rng.standard_normal((n, k)), axis=0)
-            fl = _f_stat(dep, noise_regs)
-            fu = _f_stat(dep, walk_regs)
-            if fl is not None and fu is not None:
-                f_low[i - lo] = fl
-                f_up[i - lo] = fu
+            dep, noise, walk = _draws(cfg, pending, attempt)
+            f = _f_batch(np.concatenate([dep, dep]), np.concatenate([noise, walk]))
+            fl, fu = f[: pending.size], f[pending.size :]
+            ok = ~(np.isnan(fl) | np.isnan(fu))
+            f_low[pending[ok] - lo] = fl[ok]
+            f_up[pending[ok] - lo] = fu[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
                 break
-            resampled += 1
+            resampled += pending.size
         else:
-            raise RuntimeError(f"replication {i} failed {_MAX_ATTEMPTS} resample attempts")
+            raise RuntimeError(
+                f"replication {pending[0]} failed {_MAX_ATTEMPTS} resample attempts"
+            )
     return f_low, f_up, resampled
 
 
@@ -135,6 +228,8 @@ def simulate_bounds(cfg: McConfig, workers: int = 1) -> McBounds:
         f_low = np.empty(reps)
         f_up = np.empty(reps)
         resampled = 0
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_simulate_range, cfg, a, b) for a, b in chunks]
             for (a, b), fut in zip(chunks, futures):
@@ -158,15 +253,13 @@ def simulate_bounds(cfg: McConfig, workers: int = 1) -> McBounds:
 
     # paired bootstrap over replications for quantile standard errors
     B = cfg.bootstrap_replications
+    qs = [1.0 - alpha for alpha in ALPHAS]
     boot = {alpha: np.empty((B, 2)) for alpha in ALPHAS}
     for b in range(B):
-        rng = _stream(cfg.seed, 1, b)
-        idx = rng.integers(0, reps, size=reps)
-        low_b = f_low[idx]
-        up_b = f_up[idx]
-        for alpha in ALPHAS:
-            boot[alpha][b, 0] = np.quantile(low_b, 1.0 - alpha)
-            boot[alpha][b, 1] = np.quantile(up_b, 1.0 - alpha)
+        idx = _stream(cfg.seed, 1, b).integers(0, reps, size=reps)
+        for side, f in enumerate((f_low, f_up)):
+            for alpha, q in zip(ALPHAS, np.quantile(f[idx], qs)):
+                boot[alpha][b, side] = q
     stderrs = {
         alpha: (
             float(np.std(boot[alpha][:, 0], ddof=1)),

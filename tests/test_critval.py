@@ -109,23 +109,101 @@ def test_f_stat_matches_direct_ols_route():
     assert f == pytest.approx(expect, rel=1e-10)
 
 
-def test_resampling_counted_and_capped(monkeypatch):
+def _reference_pair(cfg, i, attempt=0):
+    """F pair of replication i through the per-system reference kernel."""
+    n, k = cfg.n_obs, cfg.k
+    rng = critval._stream(cfg.seed, 0, attempt * cfg.replications + i)
+    dep = np.cumsum(rng.standard_normal(n))
+    noise = rng.standard_normal((n, k))
+    walk = np.cumsum(rng.standard_normal((n, k)), axis=0)
+    return critval._f_stat(dep, noise), critval._f_stat(dep, walk)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("n_obs", [20, 58])
+def test_batched_f_matches_reference_kernel(k, n_obs):
+    rng = np.random.default_rng(100 * k + n_obs)
+    c = 40
+    dep = np.cumsum(rng.standard_normal((c, n_obs)), axis=1)
+    regs = rng.standard_normal((c, n_obs, k))
+    regs[c // 2 :] = np.cumsum(regs[c // 2 :], axis=1)
+    regs[3, :, 0] = 1.5          # collinear with the intercept: rank deficient
+    f = critval._f_batch(dep, regs)
+    for r in range(c):
+        ref = critval._f_stat(dep[r], regs[r])
+        if r == 3:
+            assert ref is None and np.isnan(f[r])
+        else:
+            assert f[r] == pytest.approx(ref, rel=1e-10)
+
+
+def test_replications_not_a_multiple_of_the_chunk():
+    cfg = McConfig(k=2, n_obs=30, replications=1037, seed=4, bootstrap_replications=10)
+    assert cfg.replications % critval._CHUNK != 0
+    f_low, f_up, resampled = critval._simulate_range(cfg, 0, cfg.replications)
+    assert resampled == 0
+    tail = range(cfg.replications - cfg.replications % critval._CHUNK - 2, cfg.replications)
+    for i in tail:
+        ref_low, ref_up = _reference_pair(cfg, i)
+        assert f_low[i] == pytest.approx(ref_low, rel=1e-10)
+        assert f_up[i] == pytest.approx(ref_up, rel=1e-10)
+    # any split of the range gives the same values
+    head = critval._simulate_range(cfg, 0, 77)
+    rest = critval._simulate_range(cfg, 77, cfg.replications)
+    np.testing.assert_array_equal(f_low, np.concatenate([head[0], rest[0]]))
+    np.testing.assert_array_equal(f_up, np.concatenate([head[1], rest[1]]))
+
+
+def test_screen_failure_goes_through_reference_and_resample(monkeypatch):
     cfg = McConfig(k=1, n_obs=20, replications=1000, seed=3, bootstrap_replications=10)
-    real = critval._rss_only
+    real_screen = critval._screen
+    real_rss = critval._rss_only
     calls = {"n": 0}
+
+    def screen_fails_first_rows(R):
+        cleared = real_screen(R)
+        cleared[:2] = False
+        return cleared
 
     def flaky(X, y):
         calls["n"] += 1
-        if calls["n"] <= 4:
+        if calls["n"] <= 3:
             return None
-        return real(X, y)
+        return real_rss(X, y)
 
+    monkeypatch.setattr(critval, "_screen", screen_fails_first_rows)
     monkeypatch.setattr(critval, "_rss_only", flaky)
+    res = simulate_bounds(cfg)
+    # the lower systems of replications 0 and 1 go to the reference kernel;
+    # it fails both at attempt 0 and replication 0 again at attempt 1
+    assert res.n_resampled == 3
+    assert calls["n"] > 3
+    for i, attempt in ((0, 2), (1, 1)):
+        ref_low, ref_up = _reference_pair(cfg, i, attempt)
+        assert res.f_lower[i] == ref_low
+        assert res.f_upper[i] == pytest.approx(ref_up, rel=1e-10)
+
+
+def test_resampling_counted_and_capped(monkeypatch):
+    cfg = McConfig(k=1, n_obs=20, replications=1000, seed=3, bootstrap_replications=10)
+    real = critval._f_batch
+    calls = {"n": 0}
+
+    def flaky(dep, regressors):
+        calls["n"] += 1
+        f = real(dep, regressors)
+        if calls["n"] <= 2:
+            f[0] = np.nan
+        return f
+
+    monkeypatch.setattr(critval, "_f_batch", flaky)
     res = simulate_bounds(cfg)
     assert res.n_resampled in (1, 2)   # first draws rejected, then recovery
 
     calls["n"] = 0
-    monkeypatch.setattr(critval, "_rss_only", lambda X, y: None)
+    monkeypatch.setattr(
+        critval, "_f_batch", lambda dep, regressors: np.full(dep.shape[0], np.nan)
+    )
     with pytest.raises(RuntimeError, match="resample attempts"):
         simulate_bounds(cfg)
 
