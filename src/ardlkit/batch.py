@@ -18,6 +18,7 @@ import numpy as np
 from .ardl import ModelSpec, bounds_test, critical_bounds, fit_ardl, select_lags
 from .longrun import estimate_uecm, in_sample, long_run
 from .manifest import Manifest, load_country, load_manifest
+from .regression import Significance
 from .timeseries import AlignedFrame, TimeSeries, align, transform
 
 __all__ = [
@@ -447,14 +448,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_MARK_LETTER = {"1%": "a)", "5%": "b)", "10%": "c)"}
-
-
 def _md_coef(entry: dict | None) -> str:
     if entry is None:
         return ""
-    letter = _MARK_LETTER.get(entry["mark"], "")
-    return f"{entry['value']:.6g}{letter}"
+    return f"{entry['value']:.6g}{Significance(entry['mark']).letter}"
 
 
 def render(rows, out_dir, formats=("csv", "json", "md")) -> list[Path]:
@@ -529,7 +526,9 @@ def render(rows, out_dir, formats=("csv", "json", "md")) -> list[Path]:
             "rows": [row_to_dict(r) for r in rows],
         }
         path = out_dir / "results.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
         written.append(path)
 
     if "md" in formats:
@@ -552,7 +551,7 @@ def render(rows, out_dir, formats=("csv", "json", "md")) -> list[Path]:
                 }.get(r.decision or "", "")
                 phi_cell = ""
                 if r.phi is not None:
-                    phi_cell = f"{r.phi:.4g}{_MARK_LETTER.get(r.phi_mark or '', '')}"
+                    phi_cell = f"{r.phi:.4g}{Significance(r.phi_mark).letter if r.phi_mark else ''}"
                 cells = [
                     r.country,
                     "" if r.lag_order is None else "(" + ",".join(map(str, r.lag_order)) + ")",

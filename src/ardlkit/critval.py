@@ -14,10 +14,17 @@ levels alone sits several tenths higher.
 Replications are fitted _CHUNK at a time with one batched float64 QR; a
 system that the batch cannot certify goes through the long-double reference
 kernel `_f_stat`, so rank failures and resampling follow that kernel.
+
+Every replication and every bootstrap draw reads its own substream: the
+Philox generator numpy seeds from SeedSequence(seed, spawn_key=(domain, i)).
+The substream keys are hashed in bulk and one generator is reset to each key
+in turn, so the draws are numpy's own without a SeedSequence, Philox and
+Generator per substream.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +37,37 @@ ALPHAS = (0.10, 0.05, 0.01)
 
 _MAX_ATTEMPTS = 50
 
+# Substream indices must fit one 32-bit spawn-key word (see _substream_keys).
+_MAX_INDEX = 2**32
+
 # Replications per batched QR. At k=2, n=58 a chunk's stacked [X | y] of
-# both populations is about 0.3 MB. Larger chunks run no faster (drawing the
-# per-replication substreams dominates) and raise peak resident memory.
+# both populations is about 0.3 MB. Larger chunks run no faster and raise
+# peak resident memory.
 _CHUNK = 64
+
+# Replications whose substream keys are hashed together; a multiple of
+# _CHUNK. Hashing costs about 0.2 us a key in blocks this size and about
+# 1.7 us in blocks of one chunk.
+_KEY_BLOCK = 1024
 
 # `_screen` thresholds: the margin over RANK_RTOL absorbs rounding in the
 # reference kernel's own rank test, and the RSS floor keeps F's float64
 # error far below 1e-10 relative.
 _SCREEN_RTOL = 10 * RANK_RTOL
 _RSS_FLOOR = 1e-8
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), a fixed
+# algorithm over uint32 words: a pool of 4 words, hashmix/mix with these
+# constants, then generate_state.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -60,6 +88,12 @@ class McConfig:
             raise ValueError("replications must be >= 1000")
         if self.bootstrap_replications < 2:
             raise ValueError("bootstrap_replications must be >= 2")
+        if self.replications * _MAX_ATTEMPTS > _MAX_INDEX:
+            raise ValueError(f"replications must be <= {_MAX_INDEX // _MAX_ATTEMPTS}")
+        if self.bootstrap_replications > _MAX_INDEX:
+            raise ValueError(f"bootstrap_replications must be <= {_MAX_INDEX}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.case != "intercept_no_trend":
             raise ValueError(f"unsupported case {self.case!r}")
 
@@ -80,15 +114,87 @@ class McBounds:
             a.setflags(write=False)
 
 
-def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Independent substream (domain, index) of the root seed.
+def _substream_keys(seed: int, domain: int, indices: np.ndarray) -> list[list[int]]:
+    """Philox keys of substreams (domain, i) of the root seed, one per index.
 
-    Uses the spawn-key mechanism of numpy's SeedSequence over the Philox
-    counter generator, so any (domain, index) pair is reachable directly and
-    the draw is identical no matter which worker produces it.
+    Key j is SeedSequence(seed, spawn_key=(domain, indices[j]))
+    .generate_state(2, np.uint64), the key Philox takes from that seed
+    sequence. The entropy words are the seed's (zero-padded to the pool
+    size), the domain, then the index; everything before the index is mixed
+    once in Python, and the index is mixed for all indices at once in uint32
+    arithmetic. Indices must be below _MAX_INDEX, which McConfig checks.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(domain, index))
-    return np.random.Generator(np.random.Philox(ss))
+    words = []
+    rest = int(seed)
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL_SIZE - len(words)) + [domain]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+
+    # the index is the last entropy word: mix it into each pool word, then
+    # generate_state's hash turns the pool into the four key words
+    index = np.asarray(indices, dtype=np.uint32)
+    state = np.empty((_POOL_SIZE, index.size), dtype=np.uint64)
+    out_const = _INIT_B
+    for i_dst in range(_POOL_SIZE):
+        value = index ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(_XSHIFT)
+        word = np.uint32((_MIX_MULT_L * pool[i_dst]) & _MASK32) - np.uint32(_MIX_MULT_R) * value
+        word ^= word >> np.uint32(_XSHIFT)
+        word ^= np.uint32(out_const)
+        out_const = (out_const * _MULT_B) & _MASK32
+        word *= np.uint32(out_const)
+        word ^= word >> np.uint32(_XSHIFT)
+        state[i_dst] = word
+    # uint64 key words are little-endian pairs of the uint32 words
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.tolist()
+
+
+def _generator() -> np.random.Generator:
+    """A Philox generator for `_seek` to move between substreams."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _seek(gen: np.random.Generator, key: list[int]) -> np.random.Generator:
+    """gen at the start of the Philox stream with this key.
+
+    The state is that of a fresh Philox seeded with the key's SeedSequence:
+    counter 0 and an empty output buffer.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _f_stat(dep: np.ndarray, regressors: np.ndarray) -> float | None:
@@ -112,22 +218,37 @@ def _f_stat(dep: np.ndarray, regressors: np.ndarray) -> float | None:
     return max(float(f), 0.0)
 
 
-def _draws(cfg: McConfig, indices: np.ndarray, attempt: int):
-    """Stacked draws of the given replications at one resample attempt.
+def _draws(cfg: McConfig, gen: np.random.Generator, keys: list[list[int]]):
+    """Stacked draws of the replications whose substream keys are given.
 
-    Replication i at attempt a reads substream (0, a * replications + i):
-    n normals for the dependent walk's increments, then n x k noise
-    regressors, then n x k increments of the walk regressors, all from one
-    `standard_normal` call. Returns dep (c, n), noise and walk (c, n, k).
+    Each replication reads n normals for the dependent walk's increments,
+    then n x k noise regressors, then n x k increments of the walk
+    regressors, all from one `standard_normal` call on its substream.
+    Returns dep (c, n), noise and walk (c, n, k).
     """
     n, k = cfg.n_obs, cfg.k
-    z = np.empty((indices.size, n * (1 + 2 * k)))
-    for row, i in zip(z, indices.tolist()):
-        _stream(cfg.seed, 0, attempt * cfg.replications + i).standard_normal(out=row)
+    z = np.empty((len(keys), n * (1 + 2 * k)))
+    for row, key in zip(z, keys):
+        _seek(gen, key).standard_normal(out=row)
     dep = np.cumsum(z[:, :n], axis=1)
     noise = z[:, n : n + n * k].reshape(-1, n, k)
     walk = np.cumsum(z[:, n + n * k :].reshape(-1, n, k), axis=1)
     return dep, noise, walk
+
+
+def _inverse_upper(U: np.ndarray) -> np.ndarray:
+    """Inverse of each stacked upper-triangular U, by back substitution.
+
+    Row i of the inverse is solved from the rows below it, for all systems
+    at once. A zero diagonal entry gives inf or NaN entries.
+    """
+    p = U.shape[-1]
+    X = np.zeros_like(U)
+    for i in range(p - 1, -1, -1):
+        X[:, i, i] = 1.0
+        X[:, i, i + 1 :] = -np.matmul(U[:, i : i + 1, i + 1 :], X[:, i + 1 :, i + 1 :])[:, 0]
+        X[:, i, i:] /= U[:, i, i, None]
+    return X
 
 
 def _screen(R: np.ndarray) -> np.ndarray:
@@ -140,10 +261,17 @@ def _screen(R: np.ndarray) -> np.ndarray:
     """
     p = R.shape[-1] - 1
     RX = R[:, :p, :p]
-    s = np.linalg.svd(RX, compute_uv=False)
-    # QR and SVD are backward stable: the computed singular values are within
-    # a small multiple of eps * sigma_max of the exact ones of X
-    sigma_low = s[:, -1] - 64 * p * np.finfo(float).eps * s[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = _inverse_upper(RX)
+        inv_norm = np.sqrt(np.einsum("rij,rij->r", inv, inv))
+    # sigma_min(RX) >= 1 / ||RX^-1||_F (NaN fails the test below). Each
+    # column of the computed inverse is exact for RX perturbed by at most
+    # p * eps * |RX| (Higham, Accuracy and Stability, Thm 8.5), which moves
+    # the bound by at most about p * eps * ||RX||_F; QR is backward stable
+    # too, and the slack covers both.
+    sigma_low = 1.0 / inv_norm - 64 * p * np.finfo(float).eps * np.sqrt(
+        np.einsum("rij,rij->r", RX, RX)
+    )
     largest_col = np.sqrt(np.einsum("rij,rij->rj", RX, RX).max(axis=1))
     rss = R[:, p, p] ** 2
     yy = np.einsum("ri,ri->r", R[:, :, p], R[:, :, p])
@@ -183,6 +311,7 @@ def _simulate_range(cfg: McConfig, lo: int, hi: int):
     Works through _CHUNK replications at a time. A replication whose lower
     or upper system is rank deficient is drawn again from its next
     substream, up to _MAX_ATTEMPTS times; each failed attempt counts once.
+    Replication i at attempt a reads substream (0, a * replications + i).
     """
     n, k = cfg.n_obs, cfg.k
     dof = n - 1 - (k + 2)
@@ -191,24 +320,64 @@ def _simulate_range(cfg: McConfig, lo: int, hi: int):
     f_low = np.empty(hi - lo)
     f_up = np.empty(hi - lo)
     resampled = 0
-    for start in range(lo, hi, _CHUNK):
-        pending = np.arange(start, min(start + _CHUNK, hi))
-        for attempt in range(_MAX_ATTEMPTS):
-            dep, noise, walk = _draws(cfg, pending, attempt)
-            f = _f_batch(np.concatenate([dep, dep]), np.concatenate([noise, walk]))
-            fl, fu = f[: pending.size], f[pending.size :]
-            ok = ~(np.isnan(fl) | np.isnan(fu))
-            f_low[pending[ok] - lo] = fl[ok]
-            f_up[pending[ok] - lo] = fu[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            resampled += pending.size
-        else:
-            raise RuntimeError(
-                f"replication {pending[0]} failed {_MAX_ATTEMPTS} resample attempts"
-            )
+    gen = _generator()
+    for block in range(lo, hi, _KEY_BLOCK):
+        block_end = min(block + _KEY_BLOCK, hi)
+        block_keys = _substream_keys(cfg.seed, 0, np.arange(block, block_end))
+        for start in range(block, block_end, _CHUNK):
+            pending = np.arange(start, min(start + _CHUNK, block_end))
+            keys = block_keys[start - block : start - block + pending.size]
+            for attempt in range(_MAX_ATTEMPTS):
+                if attempt:
+                    keys = _substream_keys(cfg.seed, 0, attempt * cfg.replications + pending)
+                dep, noise, walk = _draws(cfg, gen, keys)
+                f = _f_batch(np.concatenate([dep, dep]), np.concatenate([noise, walk]))
+                fl, fu = f[: pending.size], f[pending.size :]
+                ok = ~(np.isnan(fl) | np.isnan(fu))
+                f_low[pending[ok] - lo] = fl[ok]
+                f_up[pending[ok] - lo] = fu[ok]
+                pending = pending[~ok]
+                if pending.size == 0:
+                    break
+                resampled += pending.size
+            else:
+                raise RuntimeError(
+                    f"replication {pending[0]} failed {_MAX_ATTEMPTS} resample attempts"
+                )
     return f_low, f_up, resampled
+
+
+def _bootstrap_quantiles(cfg: McConfig, populations) -> np.ndarray:
+    """Quantiles 1 - ALPHAS of each population over the paired bootstrap.
+
+    Returns (B, populations, ALPHAS). Draw b resamples the replication
+    indices from substream (1, b). Each value equals np.quantile(f[idx], q)
+    bit for bit: the resample's j-th order statistic is the sorted
+    population's entry at the first position where the running count of
+    drawn indices, taken in sorted order, exceeds j, and the interpolation
+    is numpy's linear method.
+    """
+    reps = populations[0].size
+    qs = np.array([1.0 - alpha for alpha in ALPHAS])
+    virtual = (reps - 1) * qs
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp)
+    ranks = np.concatenate([below, np.minimum(below + 1, reps - 1)])
+    orders = [np.argsort(f, kind="stable") for f in populations]
+    B = cfg.bootstrap_replications
+    out = np.empty((B, len(populations), qs.size))
+    running = np.empty(reps, dtype=np.intp)
+    gen = _generator()
+    for b, key in enumerate(_substream_keys(cfg.seed, 1, np.arange(B))):
+        drawn = np.bincount(_seek(gen, key).integers(0, reps, size=reps), minlength=reps)
+        for side, (f, order) in enumerate(zip(populations, orders)):
+            np.take(drawn, order, out=running)
+            np.cumsum(running, out=running)
+            lower, upper = f[order[np.searchsorted(running, ranks, side="right")]].reshape(2, -1)
+            diff = upper - lower
+            out[b, side] = np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
+    return out
 
 
 def simulate_bounds(cfg: McConfig, workers: int = 1) -> McBounds:
@@ -252,20 +421,13 @@ def simulate_bounds(cfg: McConfig, workers: int = 1) -> McBounds:
     }
 
     # paired bootstrap over replications for quantile standard errors
-    B = cfg.bootstrap_replications
-    qs = [1.0 - alpha for alpha in ALPHAS]
-    boot = {alpha: np.empty((B, 2)) for alpha in ALPHAS}
-    for b in range(B):
-        idx = _stream(cfg.seed, 1, b).integers(0, reps, size=reps)
-        for side, f in enumerate((f_low, f_up)):
-            for alpha, q in zip(ALPHAS, np.quantile(f[idx], qs)):
-                boot[alpha][b, side] = q
+    boot = _bootstrap_quantiles(cfg, (f_low, f_up))
     stderrs = {
         alpha: (
-            float(np.std(boot[alpha][:, 0], ddof=1)),
-            float(np.std(boot[alpha][:, 1], ddof=1)),
+            float(np.std(boot[:, 0, a], ddof=1)),
+            float(np.std(boot[:, 1, a], ddof=1)),
         )
-        for alpha in ALPHAS
+        for a, alpha in enumerate(ALPHAS)
     }
 
     return McBounds(

@@ -171,3 +171,14 @@ def naive_ardl_design(frame_cols, dependent, regressors, m, qs, lmax=None, inter
     for name in (dependent,) + tuple(regressors):
         cols[f"{name}_lm1"] = [float(frame_cols[name][t - 1]) for t in ts]
     return y, cols
+
+
+def substream(seed: int, domain: int, index: int) -> np.random.Generator:
+    """numpy's own generator for substream (domain, index) of a root seed.
+
+    A SeedSequence with spawn key (domain, index) seeds a Philox generator,
+    one object chain per substream; the Monte Carlo code derives the same
+    Philox keys in bulk and reuses one generator.
+    """
+    ss = np.random.SeedSequence(seed, spawn_key=(domain, index))
+    return np.random.Generator(np.random.Philox(ss))

@@ -110,6 +110,8 @@ def test_critval_command(capsys):
 def test_critval_rejects_bad_arguments(capsys):
     assert main(["critval", "--k", "0", "--n", "40"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["critval", "--k", "2", "--n", "40", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_inspect_command(run_config, capsys):

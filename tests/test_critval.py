@@ -5,6 +5,8 @@ import ardlkit.critval as critval
 from ardlkit.ardl import critical_bounds
 from ardlkit.critval import ALPHAS, McConfig, simulate_bounds
 
+from oracles import substream
+
 # small runs keep the unit suite fast; the full 20000-replication check
 # with tight tolerance lives in the acceptance tests
 FAST = McConfig(k=2, n_obs=58, replications=1500, seed=42, bootstrap_replications=60)
@@ -24,6 +26,13 @@ def test_config_validation():
         McConfig(k=2, n_obs=58, replications=100)
     with pytest.raises(ValueError, match="unsupported case"):
         McConfig(k=2, n_obs=58, case="trend")
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(k=2, n_obs=58, seed=seed)
+    # substream indices replications x _MAX_ATTEMPTS must fit 32 bits
+    with pytest.raises(ValueError, match="replications"):
+        McConfig(k=2, n_obs=58, replications=2**32 // critval._MAX_ATTEMPTS + 1)
+    McConfig(k=2, n_obs=58, replications=2**32 // critval._MAX_ATTEMPTS, seed=2**70)
 
 
 def test_bounds_near_published_small_run(fast_run):
@@ -112,11 +121,99 @@ def test_f_stat_matches_direct_ols_route():
 def _reference_pair(cfg, i, attempt=0):
     """F pair of replication i through the per-system reference kernel."""
     n, k = cfg.n_obs, cfg.k
-    rng = critval._stream(cfg.seed, 0, attempt * cfg.replications + i)
+    rng = substream(cfg.seed, 0, attempt * cfg.replications + i)
     dep = np.cumsum(rng.standard_normal(n))
     noise = rng.standard_normal((n, k))
     walk = np.cumsum(rng.standard_normal((n, k)), axis=0)
     return critval._f_stat(dep, noise), critval._f_stat(dep, walk)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("domain", [0, 1])
+def test_substream_keys_match_seed_sequence(seed, domain):
+    chunk, block = critval._CHUNK, critval._KEY_BLOCK
+    indices = [0, 1, chunk - 1, chunk, block - 1, block, block + 1, 20000, 2**31, 2**32 - 1]
+    keys = critval._substream_keys(seed, domain, np.array(indices))
+    for i, key in zip(indices, keys):
+        ss = np.random.SeedSequence(seed, spawn_key=(domain, i))
+        assert key == ss.generate_state(2, np.uint64).tolist(), i
+
+
+def _oracle_run(cfg):
+    """simulate_bounds by the per-replication route: numpy's own substream
+    objects, three draws per replication, np.quantile per bootstrap draw."""
+    n, k, reps = cfg.n_obs, cfg.k, cfg.replications
+    dep = np.empty((reps, n))
+    noise = np.empty((reps, n, k))
+    walk = np.empty((reps, n, k))
+    for i in range(reps):
+        rng = substream(cfg.seed, 0, i)
+        dep[i] = np.cumsum(rng.standard_normal(n))
+        noise[i] = rng.standard_normal((n, k))
+        walk[i] = np.cumsum(rng.standard_normal((n, k)), axis=0)
+    f_low, f_up = critval._f_batch(dep, noise), critval._f_batch(dep, walk)
+    assert not (np.isnan(f_low).any() or np.isnan(f_up).any())
+    qs = [1.0 - alpha for alpha in ALPHAS]
+    boot = np.empty((cfg.bootstrap_replications, 2, len(qs)))
+    for b in range(cfg.bootstrap_replications):
+        idx = substream(cfg.seed, 1, b).integers(0, reps, size=reps)
+        boot[b] = [np.quantile(f_low[idx], qs), np.quantile(f_up[idx], qs)]
+    bounds = {
+        alpha: (float(np.quantile(f_low, q)), float(np.quantile(f_up, q)))
+        for alpha, q in zip(ALPHAS, qs)
+    }
+    stderrs = {
+        alpha: (float(np.std(boot[:, 0, a], ddof=1)), float(np.std(boot[:, 1, a], ddof=1)))
+        for a, alpha in enumerate(ALPHAS)
+    }
+    return f_low, f_up, bounds, stderrs
+
+
+@pytest.mark.parametrize("k, n_obs, seed", [(1, 20, 2**40 + 7), (2, 58, 0), (7, 20, 3)])
+def test_simulation_matches_per_replication_oracle(k, n_obs, seed):
+    cfg = McConfig(k=k, n_obs=n_obs, replications=1000, seed=seed, bootstrap_replications=25)
+    f_low, f_up, bounds, stderrs = _oracle_run(cfg)
+    for workers in (1, 2):
+        res = simulate_bounds(cfg, workers=workers)
+        np.testing.assert_array_equal(res.f_lower, f_low)
+        np.testing.assert_array_equal(res.f_upper, f_up)
+        assert res.bounds == bounds
+        assert res.stderrs == stderrs
+        assert res.n_resampled == 0
+
+
+@pytest.mark.parametrize("reps", [1000, 1006])
+def test_bootstrap_quantiles_equal_np_quantile(reps):
+    qs = np.array([1.0 - alpha for alpha in ALPHAS])
+    gamma = (reps - 1) * qs % 1.0
+    # 1000 interpolates with every gamma below 0.5, 1006 with some above
+    assert (gamma < 0.5).all() if reps == 1000 else (gamma >= 0.5).any()
+    rng = np.random.default_rng(reps)
+    f_low = np.round(rng.chisquare(3, reps), 1)       # many tied values
+    f_up = rng.chisquare(4, reps)
+    f_up[::5] = f_up[0]                               # one value a fifth of the time
+    cfg = McConfig(k=1, n_obs=20, replications=reps, seed=5, bootstrap_replications=30)
+    boot = critval._bootstrap_quantiles(cfg, (f_low, f_up))
+    for b in range(cfg.bootstrap_replications):
+        idx = substream(cfg.seed, 1, b).integers(0, reps, size=reps)
+        np.testing.assert_array_equal(boot[b, 0], np.quantile(f_low[idx], qs))
+        np.testing.assert_array_equal(boot[b, 1], np.quantile(f_up[idx], qs))
+
+
+def test_screen_rejects_rank_deficient_systems():
+    rng = np.random.default_rng(8)
+    c, n, p = 20, 40, 4
+    A = rng.standard_normal((c, n, p + 1))
+    A[:, :, 0] = 1.0
+    A[0, :, 2] = 2.0                                   # collinear with the intercept
+    A[1, :, 3] = A[1, :, 1] + 1e-12 * rng.standard_normal(n)   # below 10 x RANK_RTOL
+    A[2, :, 3] = A[2, :, 1] + 1e-6 * rng.standard_normal(n)    # well above it
+    R = np.linalg.qr(A, mode="r")
+    cleared = critval._screen(R)
+    assert not cleared[0] and not cleared[1]
+    assert cleared[2:].all()
+    RX = R[2:, :p, :p]
+    np.testing.assert_allclose(critval._inverse_upper(RX), np.linalg.inv(RX), rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
