@@ -11,6 +11,7 @@ import json
 import time
 import warnings
 
+import golden
 import jsonschema
 import numpy as np
 import pytest
@@ -294,16 +295,21 @@ def test_criterion_7_presets_on_bundled_data(capfd, demo_dir, tmp_path):
     jsonschema.validate(doc, RESULT_SCHEMA)
     estimated = sum(r.succeeded for r in rows)
     models = {r.model for r in rows}
+    # the rows must also be the committed snapshot's (tests/golden.py)
+    departures = golden.mismatches(rows, golden.load())
     ok = (
         len(rows) == 21 * 6
         and len(models) == 6
         and estimated >= 1
         and len(paths) == 13
+        and not departures
     )
     _verdict(
         capfd, 7, "presets on bundled data", ok,
         f"{estimated}/{len(rows)} rows estimated across {len(models)} presets; "
-        f"schema-valid JSON and {len(paths)} output files",
+        f"schema-valid JSON and {len(paths)} output files; "
+        f"{len(departures)} departures from the golden snapshot"
+        + "".join(f"\n  {d}" for d in departures[:10]),
     )
 
 
