@@ -10,13 +10,13 @@ cointegration decision.
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regression import OlsFit, _rss_only, ols, wald_f
+from .regression import OlsFit, ols, sic_from_rss, stacked_rss, wald_f
 from .timeseries import AlignedFrame
 
 __all__ = [
@@ -206,20 +206,27 @@ def build_design(
             raise ValueError(f"common_lag {common_lag} < maximum lag {lmax}")
         lmax = common_lag
     t0 = lmax + 1
+    rows = frame.n_rows - t0
+    n_cols = len(_short_run_names(spec, lags)) + len(spec.level_terms)
+    if rows <= n_cols:
+        raise ValueError(
+            f"insufficient sample: {rows} usable rows after lag {lmax}, "
+            f"need more than {n_cols} (one per column)"
+        )
+    return _design(frame, spec, lags, t0)
+
+
+def _design(frame: AlignedFrame, spec: ModelSpec, lags: LagOrder, t0: int) -> Design:
+    """build_design's arrays on the rows from t0 on, without its checks;
+    the frame must have more than t0 rows."""
     n = frame.n_rows
     rows = n - t0
-
     levels = {c: frame.col(c) for c in spec.level_terms}
     diffs = {c: np.diff(v) for c, v in levels.items()}
 
     names = _short_run_names(spec, lags)
     n_levels = len(spec.level_terms)
     n_cols = len(names) + n_levels
-    if rows <= n_cols:
-        raise ValueError(
-            f"insufficient sample: {rows} usable rows after lag {lmax}, "
-            f"need more than {n_cols} (one per column)"
-        )
 
     cols = []
     if spec.include_intercept:
@@ -277,66 +284,54 @@ class SelectionResult:
     notes: tuple[str, ...] = ()
 
 
-def _sic_value(rss: float, n: int, p: int) -> float:
-    if rss <= 0.0:
-        return -np.inf
-    return n * np.log(rss / n) + p * np.log(n)
+# Candidate systems factored per stacked call. Long double takes 16 bytes
+# an element, so a stack at 45 rows and 40 columns holds about 0.9 MB.
+_STACK = 32
 
 
-class _CommonSampleEvaluator:
-    """Shares the lagged-column pool across candidates on one common sample."""
-
-    def __init__(self, frame: AlignedFrame, spec: ModelSpec, max_lag: int):
-        self.spec = spec
-        self.max_m = max(1, max_lag)
-        self.max_q = max_lag
-        lmax = self.max_m
-        t0 = lmax + 1
-        n = frame.n_rows
-        self.rows = n - t0
-        levels = {c: frame.col(c) for c in spec.level_terms}
-        diffs = {c: np.diff(v) for c, v in levels.items()}
-
-        def lagged(d, j):
-            return d[t0 - 1 - j : n - 1 - j]
-
-        self.y = diffs[spec.dependent][t0 - 1 :]
-        self.const = np.ones(self.rows) if spec.include_intercept else None
-        self.dep_lags = [lagged(diffs[spec.dependent], j) for j in range(1, self.max_m + 1)]
-        self.reg_lags = [
-            [lagged(diffs[name], j) for j in range(self.max_q + 1)]
-            for name in spec.regressors
-        ]
-        self.level_block = [levels[c][t0 - 1 : n - 1] for c in spec.level_terms]
-
-    def max_columns(self, order: LagOrder) -> int:
-        base = 1 if self.const is not None else 0
-        return base + order.dep + sum(q + 1 for q in order.regressors) + len(self.level_block)
-
-    def sic(self, order: LagOrder) -> float | None:
-        """SIC on the common sample, or None when the design is singular."""
-        cols = []
-        if self.const is not None:
-            cols.append(self.const)
-        cols.extend(self.dep_lags[: order.dep])
-        for i, q in enumerate(order.regressors):
-            cols.extend(self.reg_lags[i][: q + 1])
-        cols.extend(self.level_block)
-        X = np.column_stack(cols)
-        if self.rows <= X.shape[1]:
-            return None
-        rss = _rss_only(X, self.y)
-        if rss is None:
-            return None
-        return _sic_value(rss, self.rows, X.shape[1])
+def _lag_grid(k: int, max_lag: int) -> np.ndarray:
+    """Every candidate order (dep, q_1..q_k) up to `max_lag`, one per row,
+    in lexicographic order."""
+    top = max(1, max_lag)
+    # the smallest integer type that holds every lag plus one keeps the grid small
+    grid = np.indices((top,) + (max_lag + 1,) * k, np.min_scalar_type(top + 1)).reshape(k + 1, -1).T
+    grid[:, 0] += 1
+    return grid
 
 
-def _candidate_grid(n_groups: int, max_lag: int):
-    ms = range(1, max(1, max_lag) + 1)
-    qs = range(0, max_lag + 1)
-    for m in ms:
-        for combo in itertools.product(qs, repeat=n_groups):
-            yield LagOrder(m, combo)
+def _candidate_sics(
+    full: Design | None, spec: ModelSpec, max_lag: int, orders: np.ndarray
+) -> np.ndarray:
+    """SIC of each order (a row of `orders`) on the common sample of `full`,
+    the design at every lag up to `max_lag` (None when that sample is empty).
+
+    Each order's columns are picked from `full`, in `build_design`'s layout,
+    and orders of one width are factored in stacks of _STACK. NaN marks an
+    order with no more rows than columns or a rank-deficient design.
+    """
+    sics = np.full(len(orders), np.nan)
+    if full is None:
+        return sics
+    rows = full.y.size
+    c0, n_levels = int(spec.include_intercept), len(full.level_indices)
+    widths = c0 + orders[:, 0] + (orders[:, 1:] + 1).sum(axis=1) + n_levels
+    dep_lags, reg_lags = np.arange(1, max(1, max_lag) + 1), np.arange(max_lag + 1)
+    X, y = full.X.astype(np.longdouble), full.y.astype(np.longdouble)
+    for p in sorted(set(widths[widths < rows].tolist())):
+        group = np.flatnonzero(widths == p)
+        for at in range(0, len(group), _STACK):
+            stack = group[at : at + _STACK]
+            lags = orders[stack, :, None]
+            keep = np.concatenate(
+                [np.ones((len(stack), c0), bool), dep_lags <= lags[:, 0]]
+                + [reg_lags <= lags[:, r] for r in range(1, orders.shape[1])]
+                + [np.ones((len(stack), n_levels), bool)],
+                axis=1,
+            )
+            cols = np.nonzero(keep)[1].reshape(len(stack), 1, p)
+            rss = stacked_rss(X[np.arange(rows)[:, None], cols], np.repeat(y[None], len(stack), 0))
+            sics[stack] = sic_from_rss(rss, rows, p)
+    return sics
 
 
 def select_lags(
@@ -351,34 +346,22 @@ def select_lags(
     the criterion values are comparable. Ties break toward the smallest
     total lag count, then lexicographically. Grids larger than `budget`
     fall back to a deterministic coordinate search with a warning.
+    Candidates with no more rows than columns, or with a rank-deficient
+    design, are counted as evaluated and skipped.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    ev = _CommonSampleEvaluator(frame, spec, max_lag)
     k = len(spec.regressors)
-    grid_size = max(1, max_lag) * (max_lag + 1) ** k
+    top = max(1, max_lag)
+    full = None
+    if frame.n_rows > top + 1:
+        full = _design(frame, spec, LagOrder(top, (max_lag,) * k), top + 1)
+    grid_size = top * (max_lag + 1) ** k
 
     notes: list[str] = []
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    best_order: LagOrder | None = None
-    n_eval = 0
-    n_skip = 0
-
-    def consider(order: LagOrder) -> float | None:
-        nonlocal best, best_order, n_eval, n_skip
-        s = ev.sic(order)
-        n_eval += 1
-        if s is None:
-            n_skip += 1
-            return None
-        key = (s, order.total, order.as_tuple())
-        if best is None or key < best:
-            best, best_order = key, order
-        return s
-
     if grid_size <= budget:
-        for order in _candidate_grid(k, max_lag):
-            consider(order)
+        orders = _lag_grid(k, max_lag)
+        sics = _candidate_sics(full, spec, max_lag, orders)
         exhaustive = True
     else:
         msg = (
@@ -388,43 +371,39 @@ def select_lags(
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
         notes.append(msg)
         exhaustive = False
-        current = [1] + [0] * k
-        cache: dict[tuple[int, ...], float | None] = {}
+        scored: dict[tuple[int, ...], float] = {}
 
-        def scored(vec) -> float | None:
-            key = tuple(vec)
-            if key not in cache:
-                order = LagOrder(vec[0], tuple(vec[1:]))
-                cache[key] = consider(order)
-            return cache[key]
+        def score(trials: list[tuple[int, ...]]) -> None:
+            new = [t for t in trials if t not in scored]
+            if new:
+                scored.update(zip(new, _candidate_sics(full, spec, max_lag, np.array(new)).tolist()))
 
-        scored(current)
+        current = (1,) + (0,) * k
+        score([current])
         for _ in range(10):
             changed = False
             for pos in range(k + 1):
-                lo = 1 if pos == 0 else 0
-                choices = []
-                for v in range(lo, max_lag + 1 if pos else max(1, max_lag) + 1):
-                    trial = list(current)
-                    trial[pos] = v
-                    s = scored(trial)
-                    if s is not None:
-                        choices.append((s, sum(trial), tuple(trial), trial))
-                if choices:
-                    choices.sort(key=lambda c: c[:3])
-                    if choices[0][3] != current:
-                        current = choices[0][3]
-                        changed = True
+                lo, hi = (1, top) if pos == 0 else (0, max_lag)
+                trials = [current[:pos] + (v,) + current[pos + 1 :] for v in range(lo, hi + 1)]
+                score(trials)
+                choices = [(scored[t], sum(t), t) for t in trials if not math.isnan(scored[t])]
+                if choices and min(choices)[2] != current:
+                    current = min(choices)[2]
+                    changed = True
             if not changed:
                 break
+        orders, sics = np.array(list(scored)), np.array(list(scored.values()))
 
-    if best_order is None:
+    valid = ~np.isnan(sics)
+    if not valid.any():
         raise ValueError("every candidate lag order produced a rank-deficient design")
+    tied = orders[sics == sics[valid].min()].tolist()
+    best = min(tied, key=lambda order: (sum(order), order))
     return SelectionResult(
-        order=best_order,
-        sic=float(best[0]),
-        n_evaluated=n_eval,
-        n_skipped=n_skip,
+        order=LagOrder(best[0], best[1:]),
+        sic=float(sics[valid].min()),
+        n_evaluated=len(orders),
+        n_skipped=int((~valid).sum()),
         exhaustive=exhaustive,
         notes=tuple(notes),
     )

@@ -388,8 +388,10 @@ def simulate_bounds(cfg: McConfig, workers: int = 1) -> McBounds:
     one pass after all F values are collected. Rank-deficient draws are
     resampled from fresh substreams; more than 1% of them is an error.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     reps = cfg.replications
-    if workers <= 1:
+    if workers == 1:
         f_low, f_up, resampled = _simulate_range(cfg, 0, reps)
     else:
         edges = np.linspace(0, reps, workers + 1).astype(int)

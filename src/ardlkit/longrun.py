@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ardl import ArdlFit, LagOrder, ModelSpec, build_design
-from .regression import OlsFit, Significance, ols, student_t_pvalue
+from .regression import OlsFit, Significance, ols, t_mark
 from .timeseries import AlignedFrame, TimeSeries
 
 __all__ = [
@@ -69,12 +69,6 @@ class UecmResult:
     flags: tuple[str, ...] = ()
 
 
-def _mark(coef: float, se: float, dof: int) -> Significance:
-    if se == 0.0:
-        return Significance.NONE if coef == 0.0 else Significance.P1
-    return Significance.from_pvalue(student_t_pvalue(coef / se, dof))
-
-
 def _ratio_variance(cov: np.ndarray, j: int, d: int, delta_j: float, delta_dep: float) -> float:
     # beta = -delta_j / delta_dep; gradient (-1/delta_dep, delta_j/delta_dep^2)
     g_j = -1.0 / delta_dep
@@ -111,7 +105,7 @@ def long_run(fit: ArdlFit) -> LongRunResult:
         se = math.sqrt(_ratio_variance(cov, idx, dep_idx, delta_j, delta_dep))
         betas[level_name] = beta
         stderrs[level_name] = se
-        marks[level_name] = _mark(beta, se, dof)
+        marks[level_name] = t_mark(beta, se, dof)
 
     beta0 = beta0_se = None
     if spec.include_intercept:
@@ -227,7 +221,7 @@ def estimate_uecm(
 
     phi = float(fit.coefficients[-1])
     phi_se = float(fit.stderr[-1])
-    phi_mark = _mark(phi, phi_se, fit.dof)
+    phi_mark = t_mark(phi, phi_se, fit.dof)
 
     flags: list[str] = []
     if phi >= 0.0 and phi_mark.significant_at(0.05):

@@ -1,10 +1,13 @@
 """Least-squares core: QR estimation, Wald F tests, SIC, and t-based significance.
 
 Everything downstream (lag search, bounds test, long-run inference) funnels
-through `ols`, so this module is deliberately conservative: the factorization
-runs in extended precision (`np.longdouble`) via a pivoted Householder QR,
-never through the normal equations, and rank problems fail loudly with the
-offending column names.
+through one factorization, so this module is deliberately conservative: it
+runs in extended precision (`np.longdouble`) as a column-pivoted Householder
+QR, never through the normal equations. `householder` factors a stack of
+same-width systems at once and gives each system the bits it would get
+alone; `ols` and `wald_f`'s refit call it with one system, the SIC lag
+search with stacks of candidates (`stacked_rss`). Rank problems fail loudly
+in `ols` with the offending column names.
 """
 
 from __future__ import annotations
@@ -113,47 +116,66 @@ class OlsFit:
 # ---- QR kernel ----------------------------------------------------------
 
 
-def _qr_factor(A: np.ndarray):
-    """Column-pivoted Householder QR, in place on the longdouble copy A.
+def householder(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Column-pivoted Householder QR of a stack of B systems, in place.
 
-    Returns (R, piv, reflectors) where R is p x p upper triangular, piv maps
-    factor position -> original column, and reflectors is a list of
-    (offset, v, vnorm2) Householder vectors for applying Q'.
+    A is (B, n, p) and z is (B, n), both C-ordered np.longdouble. On
+    return A[b] holds system b's R factor in its top p rows (zeros below
+    the diagonal), z[b] is Q'z[b], and the returned piv (B, p) maps factor
+    position to original column. Every system follows the single-system rules: at each
+    step the remaining column norms are re-measured and the first maximum
+    is the pivot, the reflector's sign avoids cancellation, and z is updated
+    as z -= v * (v.z * 2 / v.v). Every sum runs in row order, so a system
+    gets the same bits alone as in any stack.
     """
-    n, p = A.shape
-    piv = np.arange(p)
-    reflectors = []
+    if not A.flags.c_contiguous:  # the row sums run in row order only on row-major stacks
+        raise ValueError("householder needs a C-contiguous stack")
+    B, n, p = A.shape
+    at = np.arange(B)
+    piv = np.tile(np.arange(p), (B, 1))
     for j in range(p):
         # Re-measure remaining columns each step; cheap at these sizes and
         # immune to the norm-downdating cancellation problem.
-        norms2 = np.einsum("ij,ij->j", A[j:, j:], A[j:, j:])
-        k = j + int(np.argmax(norms2))
-        if k != j:
-            A[:, [j, k]] = A[:, [k, j]]
-            piv[[j, k]] = piv[[k, j]]
-        x = A[j:, j]
-        alpha = np.sqrt(np.dot(x, x))
-        if x[0] > 0:
-            alpha = -alpha
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = np.dot(v, v)
-        if vnorm2 > 0.0:
-            w = (v @ A[j:, j:]) * (2.0 / vnorm2)
-            A[j:, j:] -= np.outer(v, w)
-        A[j, j] = alpha
-        if j + 1 <= n - 1:
-            A[j + 1 :, j] = 0.0
-        reflectors.append((j, v, vnorm2))
-    return A[:p, :p], piv, reflectors
+        S = A[:, j:, j:]
+        k = j + _column_dots(S, S).argmax(axis=1)
+        A[at, :, j], A[at, :, k] = A[at, :, k], A[at, :, j]
+        piv[at, j], piv[at, k] = piv[at, k], piv[at, j]
+        v = A[:, j:, j].copy()
+        alpha = np.sqrt(_dots(v, v))
+        np.negative(alpha, out=alpha, where=v[:, 0] > 0)
+        v[:, 0] -= alpha
+        vnorm2 = _dots(v, v)
+        live = vnorm2 > 0.0
+        scale = np.divide(2.0, vnorm2, out=np.zeros_like(vnorm2), where=live)
+        # column j itself is overwritten below, so only the rest is updated
+        rest = A[:, j:, j + 1 :]
+        w = _column_dots(rest, v) * scale[:, None]
+        rest -= v[:, :, None] * w[:, None, :]
+        A[:, j, j] = alpha
+        A[:, j + 1 :, j] = 0.0
+        t = np.divide(_dots(v, z[:, j:]) * 2.0, vnorm2, out=np.zeros_like(vnorm2), where=live)
+        z[:, j:] -= v * t[:, None]
+    return piv
 
 
-def _apply_qt(reflectors, y: np.ndarray) -> np.ndarray:
-    z = y.copy()
-    for j, v, vnorm2 in reflectors:
-        if vnorm2 > 0.0:
-            z[j:] -= v * (np.dot(v, z[j:]) * 2.0 / vnorm2)
-    return z
+def _column_dots(S: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(B, q) dot products of the columns of S (B, m, q) with u, which is S
+    itself or a (B, m) stack of vectors, summed in row order."""
+    # order="C" runs the row sum innermost, in one accumulator per column
+    return np.einsum("bij,bij->bj" if u.ndim == 3 else "bij,bi->bj", S, u, order="C")
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (B, m) stacks, summed in order."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def weak_pivots(A: np.ndarray) -> np.ndarray:
+    """(B, p) mask of the pivots |R_jj| of factored systems that fall under
+    RANK_RTOL of their system's largest; all of them when every one is zero."""
+    d = np.abs(np.diagonal(A, axis1=1, axis2=2))
+    largest = d.max(axis=1, initial=0.0)[:, None]
+    return (d < RANK_RTOL * largest) | (largest == 0.0)
 
 
 def _back_substitute(R: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -164,49 +186,48 @@ def _back_substitute(R: np.ndarray, z: np.ndarray) -> np.ndarray:
     return b
 
 
-def _check_rank(R: np.ndarray, piv: np.ndarray, names: tuple[str, ...]) -> None:
-    d = np.abs(np.diag(R))
-    largest = d.max() if d.size else 0.0
-    if largest == 0.0:
-        raise RankDeficientError(names)
-    bad = d < RANK_RTOL * largest
-    if bad.any():
-        raise RankDeficientError(tuple(names[piv[j]] for j in np.nonzero(bad)[0]))
-
-
 def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """Longdouble QR solve. Returns (beta, residuals, rss, R, piv)."""
-    A = np.asarray(X, dtype=np.longdouble).copy()
+    Xl = np.array(X, dtype=np.longdouble, order="C")
     yl = np.asarray(y, dtype=np.longdouble)
-    R, piv, reflectors = _qr_factor(A)
-    _check_rank(R, piv, names)
-    z = _apply_qt(reflectors, yl)
-    bp = _back_substitute(R, z[: R.shape[0]])
+    A, z = Xl[None].copy(), yl[None].copy()
+    piv = householder(A, z)[0]
+    weak = weak_pivots(A)[0]
+    if weak.all():
+        raise RankDeficientError(names)
+    if weak.any():
+        raise RankDeficientError(tuple(names[piv[j]] for j in np.nonzero(weak)[0]))
+    R = A[0, : len(piv)]
+    bp = _back_substitute(R, z[0, : len(piv)])
     beta = np.empty_like(bp)
     beta[piv] = bp
-    resid = yl - np.asarray(X, dtype=np.longdouble) @ beta
-    rss = float(np.dot(resid, resid))
-    return beta, resid, rss, R, piv
+    resid = yl - Xl @ beta
+    return beta, resid, float(np.dot(resid, resid)), R, piv
+
+
+def stacked_rss(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """RSS of the least-squares fit of each z[b] on A[b], by `householder`,
+    which overwrites both stacks.
+
+    Returns float64 (B,), NaN where A[b] is rank deficient.
+    """
+    householder(A, z)
+    # Householder leaves ||Q'y|| = ||y||; the tail beyond p is the residual.
+    tail = z[:, A.shape[2] :]
+    rss = _dots(tail, tail).astype(np.float64)
+    rss[weak_pivots(A).any(axis=1)] = np.nan
+    return rss
 
 
 def _rss_only(X: np.ndarray, y: np.ndarray) -> float | None:
     """RSS of the least-squares fit, or None if X is rank deficient.
 
-    Same kernel as `ols` minus the covariance work; used by the lag-grid
-    search and the Monte Carlo loop where only RSS matters.
+    The single-system entry point of `stacked_rss`, for the Monte Carlo
+    reference kernel.
     """
-    A = np.asarray(X, dtype=np.longdouble).copy()
-    yl = np.asarray(y, dtype=np.longdouble)
-    R, piv, reflectors = _qr_factor(A)
-    d = np.abs(np.diag(R))
-    largest = d.max() if d.size else 0.0
-    if largest == 0.0 or (d < RANK_RTOL * largest).any():
-        return None
-    z = _apply_qt(reflectors, yl)
-    p = R.shape[0]
-    # Householder leaves ||Q'y|| = ||y||; the tail beyond p is the residual.
-    tail = z[p:]
-    return float(np.dot(tail, tail))
+    A = np.array(X, dtype=np.longdouble, order="C")[None]
+    rss = stacked_rss(A, np.array(y, dtype=np.longdouble)[None])[0]
+    return None if np.isnan(rss) else float(rss)
 
 
 def _inv_gram_from_r(R: np.ndarray, piv: np.ndarray) -> np.ndarray:
@@ -327,45 +348,49 @@ def wald_f(fit: OlsFit, restricted) -> float:
     return max(float(f), 0.0)
 
 
-def sic(fit: OlsFit) -> float:
-    """Schwarz information criterion: n*ln(RSS/n) + p*ln(n). Lower is better.
+def sic_from_rss(rss, n: int, p: int):
+    """Schwarz information criterion n*ln(RSS/n) + p*ln(n), element-wise.
 
-    A perfect fit (RSS = 0) returns -inf, which sorts ahead of every real
-    candidate.
+    Lower is better. RSS <= 0 (a perfect fit) gives -inf, which sorts ahead
+    of every real candidate; NaN stays NaN.
     """
-    rss = fit.rss
-    n = fit.n_obs
-    if rss <= 0.0:
-        return float("-inf")
-    return n * math.log(rss / n) + fit.n_params * math.log(n)
+    rss = np.asarray(rss, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = n * np.log(rss / n) + p * np.log(n)
+    return np.where(rss <= 0.0, -np.inf, value)
+
+
+def sic(fit: OlsFit) -> float:
+    """Schwarz information criterion of a fit; see `sic_from_rss`."""
+    return float(sic_from_rss(fit.rss, fit.n_obs, fit.n_params))
+
+
+def t_mark(coef: float, se: float, dof: int) -> Significance:
+    """Two-sided t significance mark of one coefficient.
+
+    A zero standard error is numerically degenerate: a nonzero coefficient
+    (the fit is exact in that direction) is marked 1% rather than dividing
+    by zero, and a zero one is not significant.
+    """
+    if se == 0.0:
+        return Significance.NONE if coef == 0.0 else Significance.P1
+    return Significance.from_pvalue(student_t_pvalue(coef / se, dof))
 
 
 def t_marks(fit: OlsFit) -> tuple[Significance, ...]:
-    """Two-sided t significance mark for every coefficient.
-
-    A zero standard error with a nonzero coefficient is numerically degenerate
-    (the fit is exact in that direction); it is marked 1% and a warning is
-    emitted rather than dividing by zero.
-    """
+    """`t_mark` of every coefficient, with a warning for each nonzero one
+    whose standard error is zero."""
     if fit.dof < 1:
         raise ValueError("no residual degrees of freedom for t inference")
-    marks = []
     for b, se, name in zip(fit.coefficients, fit.stderr, fit.column_names):
-        if se == 0.0:
-            if b != 0.0:
-                warnings.warn(
-                    f"zero standard error for nonzero coefficient {name!r}; "
-                    "marking 1% (numerical degeneracy)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                marks.append(Significance.P1)
-            else:
-                marks.append(Significance.NONE)
-            continue
-        p = student_t_pvalue(b / se, fit.dof)
-        marks.append(Significance.from_pvalue(p))
-    return tuple(marks)
+        if se == 0.0 and b != 0.0:
+            warnings.warn(
+                f"zero standard error for nonzero coefficient {name!r}; "
+                "marking 1% (numerical degeneracy)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return tuple(t_mark(b, se, fit.dof) for b, se in zip(fit.coefficients, fit.stderr))
 
 
 # ---- Student-t tail probability -----------------------------------------

@@ -112,6 +112,9 @@ def test_critval_rejects_bad_arguments(capsys):
     assert "error" in capsys.readouterr().err
     assert main(["critval", "--k", "2", "--n", "40", "--seed", "-1"]) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+    for workers in ("0", "-3"):
+        assert main(["critval", "--k", "2", "--n", "40", "--workers", workers]) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
 
 
 def test_inspect_command(run_config, capsys):

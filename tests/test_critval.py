@@ -35,6 +35,12 @@ def test_config_validation():
     McConfig(k=2, n_obs=58, replications=2**32 // critval._MAX_ATTEMPTS, seed=2**70)
 
 
+def test_workers_must_be_positive():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            simulate_bounds(FAST, workers=workers)
+
+
 def test_bounds_near_published_small_run(fast_run):
     # 1500 reps put the quantile Monte Carlo error near 0.1; stay well clear
     lo, hi = fast_run.bounds[0.05]
