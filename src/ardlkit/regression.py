@@ -122,13 +122,13 @@ def householder(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     A is (B, n, p) and z is (B, n), both C-ordered np.longdouble. On
     return A[b] holds system b's R factor in its top p rows (zeros below
     the diagonal), z[b] is Q'z[b], and the returned piv (B, p) maps factor
-    position to original column. Every system follows the single-system rules: at each
-    step the remaining column norms are re-measured and the first maximum
-    is the pivot, the reflector's sign avoids cancellation, and z is updated
-    as z -= v * (v.z * 2 / v.v). Every sum runs in row order, so a system
-    gets the same bits alone as in any stack.
+    position to original column. Every system follows the single-system
+    rules: at each step the remaining column norms are re-measured and the
+    first maximum is the pivot, the reflector's sign avoids cancellation,
+    and z is updated as z -= v * (v.z * 2 / v.v). Every sum runs in row
+    order, so a system gets the same bits alone as in any stack.
     """
-    if not A.flags.c_contiguous:  # the row sums run in row order only on row-major stacks
+    if not A.flags.c_contiguous:  # the sums run in row order on row-major stacks only
         raise ValueError("householder needs a C-contiguous stack")
     B, n, p = A.shape
     at = np.arange(B)
@@ -145,16 +145,16 @@ def householder(A: np.ndarray, z: np.ndarray) -> np.ndarray:
         np.negative(alpha, out=alpha, where=v[:, 0] > 0)
         v[:, 0] -= alpha
         vnorm2 = _dots(v, v)
-        live = vnorm2 > 0.0
-        scale = np.divide(2.0, vnorm2, out=np.zeros_like(vnorm2), where=live)
+        # v.v is 0 only when every remaining column is zero: the system is
+        # rank deficient, and with v = 0 the update below only adds zeros
+        vnorm2[vnorm2 == 0.0] = 1.0
         # column j itself is overwritten below, so only the rest is updated
         rest = A[:, j:, j + 1 :]
-        w = _column_dots(rest, v) * scale[:, None]
+        w = _column_dots(rest, v) * (2.0 / vnorm2)[:, None]
         rest -= v[:, :, None] * w[:, None, :]
         A[:, j, j] = alpha
         A[:, j + 1 :, j] = 0.0
-        t = np.divide(_dots(v, z[:, j:]) * 2.0, vnorm2, out=np.zeros_like(vnorm2), where=live)
-        z[:, j:] -= v * t[:, None]
+        z[:, j:] -= v * (_dots(v, z[:, j:]) * 2.0 / vnorm2)[:, None]
     return piv
 
 

@@ -1,6 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import ardlkit.ardl as ardl
 from ardlkit.ardl import (
     BoundsTestResult,
     CriticalBounds,
@@ -14,7 +18,7 @@ from ardlkit.ardl import (
     fit_ardl,
     select_lags,
 )
-from ardlkit.regression import ols, sic
+from ardlkit.regression import _rss_only, ols, sic, sic_from_rss
 from ardlkit.timeseries import AlignedFrame
 from oracles import naive_ardl_design
 
@@ -227,6 +231,175 @@ def test_select_lags_budget_falls_back_to_staged():
     full = select_lags(f, QUAD, max_lag=2)
     # on this easy problem the staged search lands on the global optimum
     assert res.order == full.order
+
+
+# ---- the stacked search against the per-candidate route ----------------
+
+
+def _spec(k, include_intercept=True):
+    """A stand-in with the attributes the design and the search read; it
+    reaches k=1, which ModelSpec's income pair does not allow."""
+    regressors = tuple(f"x{i}" for i in range(k))
+    return SimpleNamespace(
+        dependent="e", regressors=regressors, level_terms=("e",) + regressors,
+        include_intercept=include_intercept,
+    )
+
+
+def _walk_frame(rng, n, spec):
+    data = rng.normal(size=(n, len(spec.level_terms))).cumsum(axis=0)
+    return _frame(spec.level_terms, data)
+
+
+def _reference_sic(frame, spec, vec, max_lag):
+    """SIC of one order by the per-candidate route (build_design on the
+    common sample, then _rss_only); None when the order is skipped."""
+    try:
+        d = build_design(frame, spec, LagOrder(vec[0], vec[1:]), common_lag=max(1, max_lag))
+    except ValueError:
+        return None
+    rss = _rss_only(d.X, d.y)
+    return None if rss is None else float(sic_from_rss(rss, *d.X.shape))
+
+
+def _reference_select(frame, spec, max_lag, budget=1_000_000):
+    """The search one candidate at a time: the exhaustive grid, or the
+    sequential coordinate search when the grid is over the budget."""
+    k = len(spec.regressors)
+    top = max(1, max_lag)
+    cache = {}
+
+    def scored(vec):
+        if vec not in cache:
+            cache[vec] = _reference_sic(frame, spec, vec, max_lag)
+        return cache[vec]
+
+    if top * (max_lag + 1) ** k <= budget:
+        for m in range(1, top + 1):
+            for qs in itertools.product(range(max_lag + 1), repeat=k):
+                scored((m,) + qs)
+    else:
+        current = (1,) + (0,) * k
+        scored(current)
+        for _ in range(10):
+            changed = False
+            for pos in range(k + 1):
+                choices = []
+                for v in range(1 if pos == 0 else 0, (top if pos == 0 else max_lag) + 1):
+                    trial = current[:pos] + (v,) + current[pos + 1 :]
+                    if scored(trial) is not None:
+                        choices.append((scored(trial), sum(trial), trial))
+                if choices and min(choices)[2] != current:
+                    current, changed = min(choices)[2], True
+            if not changed:
+                break
+    keys = [(s, sum(vec), vec) for vec, s in cache.items() if s is not None]
+    best = min(keys)
+    return best[2], best[0], len(cache), len(cache) - len(keys)
+
+
+def _assert_same_search(res, ref):
+    order, value, n_evaluated, n_skipped = ref
+    assert res.order.as_tuple() == order
+    assert res.sic == value  # the same kernel on the same columns: equal bits
+    assert (res.n_evaluated, res.n_skipped) == (n_evaluated, n_skipped)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("max_lag", [0, 1, 2, 3])
+def test_select_lags_equals_per_candidate_search(k, max_lag):
+    rng = np.random.default_rng(1000 * k + max_lag)
+    for trial in range(2):
+        spec = _spec(k, include_intercept=trial == 0)
+        # short frames so that the largest orders are skipped as saturated
+        frame = _walk_frame(rng, int(rng.integers(12, 30)) + 3 * k, spec)
+        res = select_lags(frame, spec, max_lag=max_lag)
+        _assert_same_search(res, _reference_select(frame, spec, max_lag))
+        assert res.exhaustive and res.n_evaluated == max(1, max_lag) * (max_lag + 1) ** k
+
+
+def test_select_lags_skips_rank_deficient_candidates_in_a_stack():
+    # x1[t] = x0[t-1] + x0[t-2], so d_x1 = d_x0 + d_x0_l1: every order with
+    # q0 >= 1 is rank deficient, the rest are not
+    rng = np.random.default_rng(17)
+    spec = _spec(3)
+    data = np.array(_walk_frame(rng, 45, spec).data)
+    data[2:, 2] = data[1:-1, 1] + data[:-2, 1]
+    frame = _frame(spec.level_terms, data)
+    res = select_lags(frame, spec, max_lag=3)
+    ref = _reference_select(frame, spec, 3)
+    _assert_same_search(res, ref)
+    assert res.n_skipped == 3 * 3 * 4 * 4 and res.order.regressors[0] == 0
+
+
+def test_select_lags_stack_size_does_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(23)
+    spec = _spec(4)
+    frame = _walk_frame(rng, 40, spec)
+    top = 2
+    full = ardl._design(frame, spec, LagOrder(top, (2,) * 4), top + 1)
+    grid = ardl._lag_grid(4, 2)
+    expected = ardl._candidate_sics(full, spec, 2, grid)
+    result = select_lags(frame, spec, max_lag=2)
+    # 162 candidates in width groups of uneven sizes, split into stacks differently
+    for size in (1, 5, 7, 200):
+        monkeypatch.setattr(ardl, "_STACK", size)
+        np.testing.assert_array_equal(ardl._candidate_sics(full, spec, 2, grid), expected)
+        assert select_lags(frame, spec, max_lag=2) == result
+
+
+def test_select_lags_scores_small_orders_when_the_full_design_is_saturated():
+    spec = _spec(2)
+    frame = _walk_frame(np.random.default_rng(29), 16, spec)
+    with pytest.raises(ValueError, match="insufficient sample"):
+        build_design(frame, spec, LagOrder(3, (3, 3)), common_lag=3)
+    res = select_lags(frame, spec, max_lag=3)
+    _assert_same_search(res, _reference_select(frame, spec, 3))
+    assert 0 < res.n_skipped < res.n_evaluated
+
+
+def _dynamic_frame(rng, n, spec):
+    """Random-walk regressors driving e through lagged differences, so the
+    SIC optimum sits away from the coordinate search's start (1,0,...,0)."""
+    x = rng.normal(size=(n, len(spec.regressors))).cumsum(axis=0)
+    dx = np.diff(x, axis=0, prepend=0.0)
+    de = np.zeros(n)
+    for t in range(3, n):
+        de[t] = 0.5 * de[t - 1] - 0.3 * de[t - 2] + 0.8 * dx[t - 1, 0] + 0.6 * dx[t - 2, -1]
+        de[t] += rng.normal(scale=0.05)
+    return _frame(spec.level_terms, np.column_stack([de.cumsum(), x]))
+
+
+def test_select_lags_coordinate_search_matches_the_sequential_one():
+    rng = np.random.default_rng(31)
+    for k, n in ((2, 80), (4, 90)):
+        spec = _spec(k)
+        frame = _dynamic_frame(rng, n, spec)
+        with pytest.warns(RuntimeWarning, match="staged coordinate search"):
+            res = select_lags(frame, spec, max_lag=3, budget=5)
+        assert not res.exhaustive and res.notes
+        assert res.order.dep > 1 and res.n_evaluated > 3 * (k + 1)  # the search moved
+        _assert_same_search(res, _reference_select(frame, spec, 3, budget=5))
+
+
+def test_select_lags_tie_break(monkeypatch):
+    # equal SIC for every order of total 3 or 4, skipped ones of total 2:
+    # the smallest total wins, then the lexicographically smallest order
+    def fake_sics(full, spec, max_lag, orders):
+        total = orders.sum(axis=1)
+        return np.where(total == 2, np.nan, np.where((total == 3) | (total == 4), 1.0, 2.0))
+
+    monkeypatch.setattr(ardl, "_candidate_sics", fake_sics)
+    res = select_lags(_quad_frame(40), QUAD, max_lag=2)
+    assert res.order.as_tuple() == (1, 0, 2) and res.sic == 1.0
+    assert (res.n_evaluated, res.n_skipped) == (18, 3)
+
+
+def test_select_lags_with_no_usable_rows():
+    spec = _spec(2)
+    frame = _walk_frame(np.random.default_rng(37), 4, spec)
+    with pytest.raises(ValueError, match="every candidate"):
+        select_lags(frame, spec, max_lag=3)
 
 
 def test_critical_bounds_table_values():

@@ -10,9 +10,14 @@ from ardlkit.regression import (
     OlsFit,
     RankDeficientError,
     Significance,
+    _rss_only,
+    householder,
     ols,
     sic,
+    sic_from_rss,
+    stacked_rss,
     student_t_pvalue,
+    t_mark,
     t_marks,
     wald_f,
 )
@@ -262,6 +267,66 @@ def test_sic_penalizes_pure_noise_regressor():
     assert worse >= 0.9 * trials
 
 
+def test_sic_from_rss_elementwise():
+    rss = np.array([100.0, 0.0, -1.0, np.nan, 17.0])
+    got = sic_from_rss(rss, 100, 2)
+    assert got[0] == pytest.approx(2.0 * math.log(100.0))
+    assert got[1] == got[2] == float("-inf")
+    assert np.isnan(got[3])
+    assert got[4] == sic(_fit_with_rss(100, 2, 17.0))
+
+
+# ---- stacked Householder ------------------------------------------------
+
+
+def _stack_problems(rng, B, n, p):
+    """Random systems with the awkward cases mixed in: a duplicated column,
+    a zero column, two columns with equal norms, badly scaled columns."""
+    A = rng.standard_normal((B, n, p)) * 10.0 ** rng.integers(-3, 4, size=(B, 1, p))
+    A[0, :, -1] = 2.0 * A[0, :, 0]
+    A[1, :, 1 % p] = 0.0
+    A[2, :, -1] = A[2, ::-1, 0]
+    return A, rng.standard_normal((B, n))
+
+
+@pytest.mark.parametrize("n,p", [(12, 1), (30, 7), (45, 20), (23, 22)])
+def test_householder_stack_equals_single_systems(n, p):
+    rng = np.random.default_rng(n * 100 + p)
+    A, y = _stack_problems(rng, 9, n, p)
+    stack, z = A.astype(np.longdouble), y.astype(np.longdouble)
+    piv = householder(stack, z)
+    for b in range(len(A)):
+        one, z1 = A[b : b + 1].astype(np.longdouble), y[b : b + 1].astype(np.longdouble)
+        piv1 = householder(one, z1)
+        # bit for bit, including the pivot order
+        assert np.array_equal(one[0], stack[b]) and np.array_equal(z1[0], z[b])
+        assert np.array_equal(piv1[0], piv[b])
+    rss = stacked_rss(A.astype(np.longdouble), y.astype(np.longdouble))
+    for b in range(len(A)):
+        single = _rss_only(A[b], y[b])
+        assert (single is None and np.isnan(rss[b])) or single == rss[b]
+    assert np.isnan(rss[1]) and np.isnan(rss[0]) == (p > 1)
+
+
+def test_householder_factors_every_system():
+    rng = np.random.default_rng(5)
+    A, y = _stack_problems(rng, 6, 40, 8)
+    stack = A.astype(np.longdouble)
+    piv = householder(stack, y.astype(np.longdouble))
+    for b in range(3, len(A)):
+        R = stack[b, :8].astype(np.float64)
+        assert np.allclose(R, np.triu(R))
+        # X P = Q R, so R'R equals the Gram matrix of the permuted columns
+        Xp = A[b][:, piv[b]]
+        np.testing.assert_allclose(R.T @ R, Xp.T @ Xp, rtol=1e-12, atol=1e-9 * np.abs(Xp.T @ Xp).max())
+
+
+def test_householder_needs_a_row_major_stack():
+    A = np.zeros((2, 5, 3), dtype=np.longdouble).transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        householder(A, np.zeros((2, 5), dtype=np.longdouble))
+
+
 # ---- t p-values and marks ----------------------------------------------
 
 
@@ -324,3 +389,13 @@ def test_marks_zero_stderr_degeneracy():
         marks = t_marks(fit)
     assert marks[0] is Significance.P1
     assert marks[1] is Significance.NONE
+
+
+def test_t_mark_is_the_rule_t_marks_applies():
+    assert t_mark(1.0, 0.0, 10) is Significance.P1
+    assert t_mark(0.0, 0.0, 10) is Significance.NONE
+    assert t_mark(-3.0, 1.0, 50) is Significance.P1
+    rng = np.random.default_rng(68)
+    X = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
+    fit = ols(X, X @ np.array([0.3, 0.2, 0.0, -0.1]) + rng.standard_normal(60))
+    assert t_marks(fit) == tuple(t_mark(b, se, fit.dof) for b, se in zip(fit.coefficients, fit.stderr))
