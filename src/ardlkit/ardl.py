@@ -299,19 +299,15 @@ def _lag_grid(k: int, max_lag: int) -> np.ndarray:
     return grid
 
 
-def _candidate_sics(
-    full: Design | None, spec: ModelSpec, max_lag: int, orders: np.ndarray
-) -> np.ndarray:
+def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndarray) -> np.ndarray:
     """SIC of each order (a row of `orders`) on the common sample of `full`,
-    the design at every lag up to `max_lag` (None when that sample is empty).
+    the design at every lag up to `max_lag`.
 
     Each order's columns are picked from `full`, in `build_design`'s layout,
     and orders of one width are factored in stacks of _STACK. NaN marks an
     order with no more rows than columns or a rank-deficient design.
     """
     sics = np.full(len(orders), np.nan)
-    if full is None:
-        return sics
     rows = full.y.size
     c0, n_levels = int(spec.include_intercept), len(full.level_indices)
     widths = c0 + orders[:, 0] + (orders[:, 1:] + 1).sum(axis=1) + n_levels
@@ -353,9 +349,9 @@ def select_lags(
         raise ValueError("max_lag must be >= 0")
     k = len(spec.regressors)
     top = max(1, max_lag)
-    full = None
-    if frame.n_rows > top + 1:
-        full = _design(frame, spec, LagOrder(top, (max_lag,) * k), top + 1)
+    if frame.n_rows <= top + 1:  # no row of the common sample is left
+        raise ValueError("every candidate lag order produced a rank-deficient design")
+    full = _design(frame, spec, LagOrder(top, (max_lag,) * k), top + 1)
     grid_size = top * (max_lag + 1) ** k
 
     notes: list[str] = []
