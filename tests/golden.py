@@ -1,14 +1,18 @@
-"""Golden snapshot of the demo batch: the 21 x 6 cells at demo seed 0, max_lag 2.
+"""Golden snapshots of batch runs on the demo data at seed 0.
 
-Criterion 7 runs the same batch and compares each row with the snapshot:
-lag order, sample, decision and warnings exactly; F, beta0, the long-run
-betas, the turning point and phi to GOLDEN_RTOL relative.
+SNAPSHOT holds the 21 x 6 cells at max_lag 2; criterion 7 runs the same
+batch and compares each row with it. DEEP_SNAPSHOT holds MEX x M1-M6 at the
+paper's max_lag 4 with a lag budget of 20000, so M1/M2/M3/M5 search their
+grids exhaustively and M4/M6 take the capped coordinate search; a test in
+test_batch.py compares against it. Lag order, sample, decision and warnings
+must match exactly; F, beta0, the long-run betas, the turning point and phi
+to GOLDEN_RTOL relative.
 
-Regenerate the snapshot from the root of the repository with
+Regenerate both snapshots from the root of the repository with
 
     PYTHONPATH=src python tests/golden.py
 
-and list every changed row in CHANGES.md when it changes.
+and list every changed row in CHANGES.md when one changes.
 """
 
 from __future__ import annotations
@@ -19,8 +23,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-SNAPSHOT = Path(__file__).resolve().parent / "data" / "demo_seed0_maxlag2.json"
+DATA = Path(__file__).resolve().parent / "data"
+SNAPSHOT = DATA / "demo_seed0_maxlag2.json"
+DEEP_SNAPSHOT = DATA / "mex_seed0_maxlag4.json"
 GOLDEN_RTOL = 1e-9
+
+# RunConfig fields of each snapshot's batch, demo data at seed 0
+RUNS = {
+    SNAPSHOT: {"max_lag": 2},
+    DEEP_SNAPSHOT: {"countries": ("MEX",), "max_lag": 4, "lag_budget": 20_000},
+}
 
 EXACT_FIELDS = ("lag_order", "sample", "decision", "warnings")
 CLOSE_FIELDS = ("f_stat", "beta0", "betas", "turning_point", "phi")
@@ -76,21 +88,22 @@ def mismatches(rows, snapshot: list[dict]) -> list[str]:
     return out
 
 
-def load() -> list[dict]:
-    return json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+def load(path: Path = SNAPSHOT) -> list[dict]:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def main() -> int:
     from ardlkit import RunConfig, run
     from ardlkit.synthetic import write_demo_data
 
+    DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        manifest, _ = write_demo_data(tmp, seed=0, max_lag=2)
-        rows = run(RunConfig(manifest=manifest, max_lag=2, workers=1, output_dir=Path(tmp) / "out"))
-    SNAPSHOT.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(record(r)) for r in rows)
-    SNAPSHOT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(rows)} rows to {SNAPSHOT}")
+        manifest, _ = write_demo_data(tmp, seed=0)
+        for path, fields in RUNS.items():
+            rows = run(RunConfig(manifest=manifest, workers=1, output_dir=Path(tmp) / "out", **fields))
+            lines = ",\n".join(json.dumps(record(r)) for r in rows)
+            path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+            print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 
+import golden
 import jsonschema
 import pytest
 
@@ -193,6 +194,15 @@ class TestRun:
         cfg, rows = small
         parallel = run(dataclasses.replace(cfg, workers=3))
         assert parallel == rows
+
+    def test_deep_search_matches_the_golden_snapshot(self, demo_dir, tmp_path):
+        # the paper's max_lag 4: exhaustive grids of 100-12500 orders on
+        # M1/M2/M3/M5, the capped coordinate search on M4/M6
+        cfg = RunConfig(manifest=demo_dir / "manifest.json", output_dir=tmp_path,
+                        **golden.RUNS[golden.DEEP_SNAPSHOT])
+        rows = run(cfg)
+        assert golden.mismatches(rows, golden.load(golden.DEEP_SNAPSHOT)) == []
+        assert len(rows) == 6
 
 
 @pytest.fixture(scope="module")
