@@ -274,12 +274,18 @@ def fit_ardl(frame: AlignedFrame, spec: ModelSpec, lags: LagOrder) -> ArdlFit:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Winner of the SIC search plus bookkeeping about the search itself."""
+    """Winner of the SIC search plus bookkeeping about the search itself.
+
+    `n_evaluated` counts the orders the search accounts for (the whole grid
+    when `exhaustive`), `n_skipped` those among them found unusable, and
+    `n_scored` the orders actually factored; see `select_lags`.
+    """
 
     order: LagOrder
     sic: float
     n_evaluated: int
     n_skipped: int
+    n_scored: int
     exhaustive: bool
     notes: tuple[str, ...] = ()
 
@@ -287,6 +293,11 @@ class SelectionResult:
 # Candidate systems factored per stacked call. Long double takes 16 bytes
 # an element, so a stack at 45 rows and 40 columns holds about 0.9 MB.
 _STACK = 32
+
+# A box of orders is pruned only when its SIC bound exceeds the incumbent by
+# more than this share of |incumbent| + 1. The RSS rounding moves a SIC by
+# orders of magnitude less, so an order that ties the winner is never pruned.
+_PRUNE_RTOL = 1e-8
 
 
 def _lag_grid(k: int, max_lag: int) -> np.ndarray:
@@ -297,6 +308,12 @@ def _lag_grid(k: int, max_lag: int) -> np.ndarray:
     grid = np.indices((top,) + (max_lag + 1,) * k, np.min_scalar_type(top + 1)).reshape(k + 1, -1).T
     grid[:, 0] += 1
     return grid
+
+
+def _widths(spec: ModelSpec, orders: np.ndarray) -> np.ndarray:
+    """Design columns of each order (a row of `orders`)."""
+    n_fixed = int(spec.include_intercept) + len(spec.level_terms)
+    return n_fixed + orders[:, 0] + (orders[:, 1:] + 1).sum(axis=1)
 
 
 def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndarray) -> np.ndarray:
@@ -310,7 +327,7 @@ def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndar
     sics = np.full(len(orders), np.nan)
     rows = full.y.size
     c0, n_levels = int(spec.include_intercept), len(full.level_indices)
-    widths = c0 + orders[:, 0] + (orders[:, 1:] + 1).sum(axis=1) + n_levels
+    widths = _widths(spec, orders)
     dep_lags, reg_lags = np.arange(1, max(1, max_lag) + 1), np.arange(max_lag + 1)
     X, y = full.X.astype(np.longdouble), full.y.astype(np.longdouble)
     for p in sorted(set(widths[widths < rows].tolist())):
@@ -330,6 +347,78 @@ def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndar
     return sics
 
 
+class _Scores(dict):
+    """SIC by order tuple over one cell's common sample; scores each new
+    order once, in one `_candidate_sics` call per batch."""
+
+    def __init__(self, full: Design, spec: ModelSpec, max_lag: int):
+        super().__init__()
+        self.args = (full, spec, max_lag)
+        self.best = math.inf  # the least SIC scored so far
+
+    def add(self, orders: list[tuple[int, ...]]) -> None:
+        new = [o for o in orders if o not in self]
+        if new:
+            sics = _candidate_sics(*self.args, np.array(new))
+            self.update(zip(new, sics.tolist()))
+            valid = sics[~np.isnan(sics)]
+            if valid.size:
+                self.best = min(self.best, float(valid.min()))
+
+
+def _descend(scores: _Scores, k: int, max_lag: int) -> None:
+    """Coordinate descent from (1, 0, ..., 0): each position in turn moves
+    to its best value with the others held, for at most 10 sweeps."""
+    top = max(1, max_lag)
+    current = (1,) + (0,) * k
+    scores.add([current])
+    for _ in range(10):
+        changed = False
+        for pos in range(k + 1):
+            lo, hi = (1, top) if pos == 0 else (0, max_lag)
+            trials = [current[:pos] + (v,) + current[pos + 1 :] for v in range(lo, hi + 1)]
+            scores.add(trials)
+            choices = [(scores[t], sum(t), t) for t in trials if not math.isnan(scores[t])]
+            if choices and min(choices)[2] != current:
+                current = min(choices)[2]
+                changed = True
+        if not changed:
+            break
+
+
+def _prove(scores: _Scores, k: int, max_lag: int, rows: int) -> None:
+    """Score the grid's orders until every unscored one provably loses.
+
+    The grid is split into boxes [lo, hi] of orders (componentwise). Each
+    order in a box nests in its corner hi on the common sample, so its SIC
+    is at least SIC(hi) - (width(hi) - width(lo)) * ln(rows). A box whose
+    bound exceeds the least SIC scored so far by more than the margin is
+    dropped; every other box with more than one order is halved along its
+    widest dimension, and the new corners of a round are scored together.
+    A NaN corner (skipped) bounds nothing, so its box is split down to
+    single orders; a -inf corner (a perfect fit) stops all pruning.
+    """
+    ln_n = math.log(rows)
+    root = (max(1, max_lag),) + (max_lag,) * k
+    scores.add([root])
+    lo, hi, corner = np.array([(1,) + (0,) * k]), np.array([root]), np.array([scores[root]])
+    while True:
+        best = scores.best
+        cut = best + _PRUNE_RTOL * (abs(best) + 1.0) if math.isfinite(best) else math.inf
+        live = ~(corner - (hi - lo).sum(axis=1) * ln_n > cut) & (hi > lo).any(axis=1)
+        lo, hi, corner = lo[live], hi[live], corner[live]
+        if not len(lo):
+            return
+        at, dim = np.arange(len(lo)), (hi - lo).argmax(axis=1)
+        low_hi, high_lo = hi.copy(), lo.copy()
+        low_hi[at, dim] = (lo[at, dim] + hi[at, dim]) // 2
+        high_lo[at, dim] = low_hi[at, dim] + 1
+        new = [tuple(o) for o in low_hi.tolist()]
+        scores.add(new)
+        lo, hi = np.concatenate([lo, high_lo]), np.concatenate([low_hi, hi])
+        corner = np.concatenate([[scores[o] for o in new], corner])
+
+
 def select_lags(
     frame: AlignedFrame,
     spec: ModelSpec,
@@ -340,10 +429,26 @@ def select_lags(
 
     Every candidate is scored on the common sample implied by `max_lag`, so
     the criterion values are comparable. Ties break toward the smallest
-    total lag count, then lexicographically. Grids larger than `budget`
-    fall back to a deterministic coordinate search with a warning.
-    Candidates with no more rows than columns, or with a rank-deficient
-    design, are counted as evaluated and skipped.
+    total lag count, then lexicographically. Candidates with no more rows
+    than columns, or with a rank-deficient design, are skipped.
+
+    A grid of at most `budget` orders is searched exactly without scoring
+    all of it (leaps and bounds, Furnival & Wilson 1974). A coordinate
+    descent from (1, 0, ..., 0) finds an incumbent; then boxes of orders are
+    split and their corners scored until each unscored order o is shown to
+    lose: o nests in a scored corner hi of its box [lo, hi], so RSS(o) >=
+    RSS(hi) and SIC(o) >= SIC(hi) - (width(hi) - width(lo)) * ln(rows). A
+    box is dropped only when that bound exceeds the incumbent by more than
+    _PRUNE_RTOL * (|incumbent| + 1), far above the RSS rounding, so a tie
+    with the winner is always scored and the winner is the one the whole
+    grid gives. Then `n_evaluated` is the grid size, `n_skipped` counts the
+    grid's orders with no more rows than columns plus the rank-deficient
+    orders among those scored (a dropped order nests in a full-rank
+    corner), and `exhaustive` is True.
+
+    A larger grid falls back to the coordinate descent alone, with a
+    warning: `exhaustive` is False and `n_evaluated` and `n_skipped` count
+    the orders it visited. `n_scored` counts the orders factored either way.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
@@ -352,13 +457,15 @@ def select_lags(
     if frame.n_rows <= top + 1:  # no row of the common sample is left
         raise ValueError("every candidate lag order produced a rank-deficient design")
     full = _design(frame, spec, LagOrder(top, (max_lag,) * k), top + 1)
+    rows = full.y.size
     grid_size = top * (max_lag + 1) ** k
 
     notes: list[str] = []
-    if grid_size <= budget:
-        orders = _lag_grid(k, max_lag)
-        sics = _candidate_sics(full, spec, max_lag, orders)
-        exhaustive = True
+    scores = _Scores(full, spec, max_lag)
+    _descend(scores, k, max_lag)
+    exhaustive = grid_size <= budget
+    if exhaustive:
+        _prove(scores, k, max_lag, rows)
     else:
         msg = (
             f"lag grid has {grid_size} candidates, over the budget of {budget}; "
@@ -366,40 +473,25 @@ def select_lags(
         )
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
         notes.append(msg)
-        exhaustive = False
-        scored: dict[tuple[int, ...], float] = {}
 
-        def score(trials: list[tuple[int, ...]]) -> None:
-            new = [t for t in trials if t not in scored]
-            if new:
-                scored.update(zip(new, _candidate_sics(full, spec, max_lag, np.array(new)).tolist()))
-
-        current = (1,) + (0,) * k
-        score([current])
-        for _ in range(10):
-            changed = False
-            for pos in range(k + 1):
-                lo, hi = (1, top) if pos == 0 else (0, max_lag)
-                trials = [current[:pos] + (v,) + current[pos + 1 :] for v in range(lo, hi + 1)]
-                score(trials)
-                choices = [(scored[t], sum(t), t) for t in trials if not math.isnan(scored[t])]
-                if choices and min(choices)[2] != current:
-                    current = min(choices)[2]
-                    changed = True
-            if not changed:
-                break
-        orders, sics = np.array(list(scored)), np.array(list(scored.values()))
-
+    orders, sics = np.array(list(scores)), np.array(list(scores.values()))
     valid = ~np.isnan(sics)
     if not valid.any():
         raise ValueError("every candidate lag order produced a rank-deficient design")
+    factored = _widths(spec, orders) < rows
+    if exhaustive:
+        n_evaluated = grid_size
+        n_skipped = int((_widths(spec, _lag_grid(k, max_lag)) >= rows).sum() + (factored & ~valid).sum())
+    else:
+        n_evaluated, n_skipped = len(orders), int((~valid).sum())
     tied = orders[sics == sics[valid].min()].tolist()
     best = min(tied, key=lambda order: (sum(order), order))
     return SelectionResult(
         order=LagOrder(best[0], best[1:]),
         sic=float(sics[valid].min()),
-        n_evaluated=len(orders),
-        n_skipped=int((~valid).sum()),
+        n_evaluated=n_evaluated,
+        n_skipped=n_skipped,
+        n_scored=int(factored.sum()),
         exhaustive=exhaustive,
         notes=tuple(notes),
     )

@@ -233,7 +233,19 @@ def _model_frame(frame: AlignedFrame, spec: ModelSpec) -> AlignedFrame:
     return AlignedFrame(frame.first_year, frame.last_year, tuple(names), np.column_stack(cols))
 
 
-def run_cell(manifest: Manifest, config: RunConfig, country: str, model: str) -> CountryRow:
+def _load(manifest: Manifest, country: str):
+    """`load_country`'s result, or the exception it raised."""
+    try:
+        return load_country(manifest, country)
+    except Exception as exc:
+        return exc
+
+
+def run_cell(
+    manifest: Manifest, config: RunConfig, country: str, model: str, loaded=None
+) -> CountryRow:
+    """One cell's row. `loaded` is the country's `_load` result, so cells of
+    one country can share one read of its file; None reads it here."""
     notes: list[str] = []
     out: dict = {}
     stage = "load"
@@ -241,7 +253,11 @@ def run_cell(manifest: Manifest, config: RunConfig, country: str, model: str) ->
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
 
-            dataset, report = load_country(manifest, country)
+            if loaded is None:
+                loaded = _load(manifest, country)
+            if isinstance(loaded, Exception):
+                raise loaded
+            dataset, report = loaded
             if report.n_unparseable:
                 notes.append(f"load: {report.n_unparseable} unparseable cells read as missing")
 
@@ -322,8 +338,10 @@ def run(config: RunConfig, manifest: Manifest | None = None) -> list[CountryRow]
     """All (country, model) cells of the config, in config order.
 
     Config-level problems (unreadable manifest, unknown countries) raise;
-    anything that goes wrong inside a cell becomes that row's warnings.
-    Deterministic for fixed inputs at any worker count.
+    anything that goes wrong inside a cell becomes that row's warnings, a
+    country file that cannot be read included. Each country's file is read
+    once, here, and shared by its cells. Deterministic for fixed inputs at
+    any worker count.
     """
     if manifest is None:
         manifest = load_manifest(config.manifest)
@@ -331,16 +349,17 @@ def run(config: RunConfig, manifest: Manifest | None = None) -> list[CountryRow]
     if missing:
         raise ValueError(f"countries not in manifest: {', '.join(missing)}")
 
+    loaded = {c: _load(manifest, c) for c in config.countries}
     cells = [(c, m) for c in config.countries for m in config.models]
     if config.workers <= 1:
-        return [run_cell(manifest, config, c, m) for c, m in cells]
+        return [run_cell(manifest, config, c, m, loaded[c]) for c, m in cells]
 
     from concurrent.futures import ProcessPoolExecutor
 
     results: dict[tuple[str, str], CountryRow] = {}
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         futures = {
-            pool.submit(run_cell, manifest, config, c, m): (c, m) for c, m in cells
+            pool.submit(run_cell, manifest, config, c, m, loaded[c]): (c, m) for c, m in cells
         }
         for fut, key in futures.items():
             results[key] = fut.result()

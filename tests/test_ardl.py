@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ardlkit.ardl as ardl
+from ardlkit import batch
 from ardlkit.ardl import (
     BoundsTestResult,
     CriticalBounds,
@@ -19,7 +20,8 @@ from ardlkit.ardl import (
     select_lags,
 )
 from ardlkit.regression import _rss_only, ols, sic, sic_from_rss
-from ardlkit.timeseries import AlignedFrame
+from ardlkit.manifest import load_country, load_manifest
+from ardlkit.timeseries import AlignedFrame, align
 from oracles import naive_ardl_design
 
 QUAD = ModelSpec(dependent="e", income="y")
@@ -400,6 +402,83 @@ def test_select_lags_with_no_usable_rows():
     frame = _walk_frame(np.random.default_rng(37), 4, spec)
     with pytest.raises(ValueError, match="every candidate"):
         select_lags(frame, spec, max_lag=3)
+
+
+# ---- the bound-and-split proof --------------------------------------------
+
+
+def _recording(monkeypatch):
+    """Record every order `select_lags` hands to the kernel."""
+    seen = set()
+    kernel = ardl._candidate_sics
+
+    def spy(full, spec, max_lag, orders):
+        seen.update(map(tuple, orders.tolist()))
+        return kernel(full, spec, max_lag, orders)
+
+    monkeypatch.setattr(ardl, "_candidate_sics", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("include_intercept", [True, False])
+def test_select_lags_proof_equals_per_candidate_search_at_max_lag_4(k, include_intercept):
+    rng = np.random.default_rng(40 + 10 * k + include_intercept)
+    spec = _spec(k, include_intercept)
+    frames = [_walk_frame(rng, 45, spec), _dynamic_frame(rng, 60, spec), _walk_frame(rng, 22, spec)]
+    for frame in frames:
+        res = select_lags(frame, spec, max_lag=4)
+        _assert_same_search(res, _reference_select(frame, spec, 4))
+        assert res.exhaustive and res.n_evaluated == 4 * 5**k
+        assert res.n_scored < res.n_evaluated - res.n_skipped  # the bound dropped orders
+
+
+def test_select_lags_every_unscored_order_loses(monkeypatch):
+    rng = np.random.default_rng(43)
+    for k, frame_of in ((2, _dynamic_frame), (3, _walk_frame)):
+        spec = _spec(k)
+        frame = frame_of(rng, 50, spec)
+        seen = _recording(monkeypatch)
+        res = select_lags(frame, spec, max_lag=4)
+        unscored = [o for o in map(tuple, ardl._lag_grid(k, 4).tolist()) if o not in seen]
+        assert unscored
+        for order in unscored:
+            value = _reference_sic(frame, spec, order, 4)
+            assert value is None or value > res.sic, order
+
+
+def test_select_lags_proof_scores_a_tenth_of_the_deep_grid(demo_dir):
+    # MEX/M2 at the paper's max_lag 4: 12500 orders, 338 factored
+    manifest = load_manifest(demo_dir / "manifest.json")
+    dataset, _ = load_country(manifest, "MEX")
+    spec = batch.preset("M2")
+    raw = [batch.DEPENDENT_RAW, batch.INCOME_RAW] + [batch._raw_name(c) for c in spec.controls]
+    frame = batch._model_frame(align(dataset, raw, min_window=20), spec)
+    res = select_lags(frame, spec, max_lag=4)
+    assert res.exhaustive and res.n_evaluated == 12500
+    assert 0 < res.n_scored <= res.n_evaluated // 10
+
+
+def test_select_lags_margin_covers_rounding_of_a_corner(monkeypatch):
+    # SICs nested exactly, as RSS(o) >= RSS(u) for o <= u gives, except that
+    # every order outside the tie of (1,1,0) and (2,0,0) carries a rounding
+    # error of 1e-10. The box [(1,1,0), (1,1,1)] then bounds 1e-10 above the
+    # incumbent (2,0,0), yet holds (1,1,0), which wins the tie on its order.
+    spec, top_sic = _spec(2), -200.0
+    frame = _walk_frame(np.random.default_rng(47), 40, spec)
+    ln_n = np.log(40 - 3)
+
+    def nested_sics(full, spec, max_lag, orders):
+        m, q1, q2 = orders.T
+        gain = np.where((q1 >= 1) | (m >= 2), ln_n, np.where(q2 >= 1, 0.0, -1.0))
+        sics = top_sic + (orders.sum(axis=1) - 1) * ln_n - gain
+        tie = (orders.sum(axis=1) == 2) & (q2 == 0)
+        return np.where(tie, top_sic, sics + 1e-10)
+
+    monkeypatch.setattr(ardl, "_candidate_sics", nested_sics)
+    res = select_lags(frame, spec, max_lag=2)
+    assert res.order.as_tuple() == (1, 1, 0) and res.sic == top_sic
+    assert res.n_scored < res.n_evaluated
 
 
 def test_critical_bounds_table_values():

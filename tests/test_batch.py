@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import shutil
 
 import golden
 import jsonschema
@@ -19,7 +20,9 @@ from ardlkit.batch import (
     preset,
     render,
     run,
+    run_cell,
 )
+from ardlkit.manifest import load_country, load_manifest
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,32 @@ class TestRun:
         cfg, rows = small
         parallel = run(dataclasses.replace(cfg, workers=3))
         assert parallel == rows
+
+    def test_each_country_file_is_read_once(self, small, monkeypatch):
+        cfg, rows = small
+        calls = []
+
+        def counted(manifest, country):
+            calls.append(country)
+            return load_country(manifest, country)
+
+        monkeypatch.setattr(batch, "load_country", counted)
+        assert run(cfg) == rows
+        assert calls == ["ARG", "CUBA"]
+
+    def test_unreadable_country_file_degrades_to_warning_on_each_row(self, demo_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(demo_dir, data)
+        (data / "ARG.csv").unlink()
+        cfg = RunConfig(manifest=data / "manifest.json", countries=("ARG", "BOL"),
+                        models=("M1", "M3"), max_lag=1, output_dir=tmp_path / "out")
+        rows = run(cfg)
+        manifest = load_manifest(cfg.manifest)
+        # the same rows as cells that each read their own file
+        assert rows == [run_cell(manifest, cfg, c, m) for c in cfg.countries for m in cfg.models]
+        assert run(dataclasses.replace(cfg, workers=2)) == rows
+        assert [r.succeeded for r in rows] == [False, False, True, True]
+        assert all(r.warnings[0].startswith("load: ") and "ARG.csv" in r.warnings[0] for r in rows[:2])
 
     def test_deep_search_matches_the_golden_snapshot(self, demo_dir, tmp_path):
         # the paper's max_lag 4: exhaustive grids of 100-12500 orders on
