@@ -107,7 +107,7 @@ def write_demo_data(directory, seed: int = 0, max_lag: int = 2) -> tuple[Path, P
     """Write per-country CSVs, a manifest, and a ready-to-run config.
 
     Returns (manifest_path, config_path). `max_lag` lands in the config; at
-    the default a full 21x6 batch takes about 15 s on one worker of a 2-vCPU host.
+    the default a full 21x6 batch takes about 6 s on one worker of a 2-vCPU host.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -407,19 +407,6 @@ def test_select_lags_with_no_usable_rows():
 # ---- the bound-and-split proof --------------------------------------------
 
 
-def _recording(monkeypatch):
-    """Record every order `select_lags` hands to the kernel."""
-    seen = set()
-    kernel = ardl._candidate_sics
-
-    def spy(full, spec, max_lag, orders):
-        seen.update(map(tuple, orders.tolist()))
-        return kernel(full, spec, max_lag, orders)
-
-    monkeypatch.setattr(ardl, "_candidate_sics", spy)
-    return seen
-
-
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("include_intercept", [True, False])
 def test_select_lags_proof_equals_per_candidate_search_at_max_lag_4(k, include_intercept):
@@ -434,11 +421,19 @@ def test_select_lags_proof_equals_per_candidate_search_at_max_lag_4(k, include_i
 
 
 def test_select_lags_every_unscored_order_loses(monkeypatch):
+    seen = set()
+    kernel = ardl._candidate_sics
+
+    def spy(full, spec, max_lag, orders):
+        seen.update(map(tuple, orders.tolist()))
+        return kernel(full, spec, max_lag, orders)
+
+    monkeypatch.setattr(ardl, "_candidate_sics", spy)
     rng = np.random.default_rng(43)
     for k, frame_of in ((2, _dynamic_frame), (3, _walk_frame)):
         spec = _spec(k)
         frame = frame_of(rng, 50, spec)
-        seen = _recording(monkeypatch)
+        seen.clear()
         res = select_lags(frame, spec, max_lag=4)
         unscored = [o for o in map(tuple, ardl._lag_grid(k, 4).tolist()) if o not in seen]
         assert unscored
@@ -464,20 +459,20 @@ def test_select_lags_margin_covers_rounding_of_a_corner(monkeypatch):
     # every order outside the tie of (1,1,0) and (2,0,0) carries a rounding
     # error of 1e-10. The box [(1,1,0), (1,1,1)] then bounds 1e-10 above the
     # incumbent (2,0,0), yet holds (1,1,0), which wins the tie on its order.
-    spec, top_sic = _spec(2), -200.0
+    spec, tie_sic = _spec(2), -200.0
     frame = _walk_frame(np.random.default_rng(47), 40, spec)
     ln_n = np.log(40 - 3)
 
     def nested_sics(full, spec, max_lag, orders):
         m, q1, q2 = orders.T
         gain = np.where((q1 >= 1) | (m >= 2), ln_n, np.where(q2 >= 1, 0.0, -1.0))
-        sics = top_sic + (orders.sum(axis=1) - 1) * ln_n - gain
+        sics = tie_sic + (orders.sum(axis=1) - 1) * ln_n - gain
         tie = (orders.sum(axis=1) == 2) & (q2 == 0)
-        return np.where(tie, top_sic, sics + 1e-10)
+        return np.where(tie, tie_sic, sics + 1e-10)
 
     monkeypatch.setattr(ardl, "_candidate_sics", nested_sics)
     res = select_lags(frame, spec, max_lag=2)
-    assert res.order.as_tuple() == (1, 1, 0) and res.sic == top_sic
+    assert res.order.as_tuple() == (1, 1, 0) and res.sic == tie_sic
     assert res.n_scored < res.n_evaluated
 
 
