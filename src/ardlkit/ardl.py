@@ -349,7 +349,7 @@ def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndar
 
 class _Scores(dict):
     """SIC by order tuple over one cell's common sample; scores each new
-    order once, in one `_candidate_sics` call per batch."""
+    order once, in one `_candidate_sics` call per `add`."""
 
     def __init__(self, full: Design, spec: ModelSpec, max_lag: int):
         super().__init__()
