@@ -27,6 +27,7 @@ __all__ = [
     "CountryRow",
     "RESULT_SCHEMA",
     "RunConfig",
+    "load",
     "load_config",
     "model_bounds",
     "preset",
@@ -233,8 +234,10 @@ def _model_frame(frame: AlignedFrame, spec: ModelSpec) -> AlignedFrame:
     return AlignedFrame(frame.first_year, frame.last_year, tuple(names), np.column_stack(cols))
 
 
-def _load(manifest: Manifest, country: str):
-    """`load_country`'s result, or the exception it raised."""
+def load(manifest: Manifest, country: str):
+    """`load_country`'s result, or the exception it raised: what `run_cell`
+    takes as `loaded`, so that a file that cannot be read becomes a row
+    warning."""
     try:
         return load_country(manifest, country)
     except Exception as exc:
@@ -242,10 +245,10 @@ def _load(manifest: Manifest, country: str):
 
 
 def run_cell(
-    manifest: Manifest, config: RunConfig, country: str, model: str, loaded=None
+    manifest: Manifest, config: RunConfig, country: str, model: str, loaded
 ) -> CountryRow:
-    """One cell's row. `loaded` is the country's `_load` result, so cells of
-    one country can share one read of its file; None reads it here."""
+    """One cell's row. `loaded` is `load(manifest, country)`, so the cells of
+    one country share one read of its file."""
     notes: list[str] = []
     out: dict = {}
     stage = "load"
@@ -253,8 +256,6 @@ def run_cell(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
 
-            if loaded is None:
-                loaded = _load(manifest, country)
             if isinstance(loaded, Exception):
                 raise loaded
             dataset, report = loaded
@@ -349,7 +350,7 @@ def run(config: RunConfig, manifest: Manifest | None = None) -> list[CountryRow]
     if missing:
         raise ValueError(f"countries not in manifest: {', '.join(missing)}")
 
-    loaded = {c: _load(manifest, c) for c in config.countries}
+    loaded = {c: load(manifest, c) for c in config.countries}
     cells = [(c, m) for c in config.countries for m in config.models]
     if config.workers <= 1:
         return [run_cell(manifest, config, c, m, loaded[c]) for c, m in cells]

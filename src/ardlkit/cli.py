@@ -158,7 +158,8 @@ def _cmd_inspect(args) -> int:
     if args.country not in manifest.countries:
         print(f"error: country {args.country!r} not in manifest", file=sys.stderr)
         return 2
-    row = batch.run_cell(manifest, config, args.country, args.model)
+    loaded = batch.load(manifest, args.country)
+    row = batch.run_cell(manifest, config, args.country, args.model, loaded)
     _print_inspect(row)
     return 0 if row.succeeded else 1
 

@@ -219,7 +219,10 @@ class TestRun:
         rows = run(cfg)
         manifest = load_manifest(cfg.manifest)
         # the same rows as cells that each read their own file
-        assert rows == [run_cell(manifest, cfg, c, m) for c in cfg.countries for m in cfg.models]
+        assert rows == [
+            run_cell(manifest, cfg, c, m, batch.load(manifest, c))
+            for c in cfg.countries for m in cfg.models
+        ]
         assert run(dataclasses.replace(cfg, workers=2)) == rows
         assert [r.succeeded for r in rows] == [False, False, True, True]
         assert all(r.warnings[0].startswith("load: ") and "ARG.csv" in r.warnings[0] for r in rows[:2])
