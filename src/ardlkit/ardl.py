@@ -295,9 +295,19 @@ class SelectionResult:
 _STACK = 32
 
 # A box of orders is pruned only when its SIC bound exceeds the incumbent by
-# more than this share of |incumbent| + 1. The RSS rounding moves a SIC by
-# orders of magnitude less, so an order that ties the winner is never pruned.
+# more than this share of |incumbent| + 1. While the corner's RSS is above
+# _RSS_FLOOR, the RSS rounding moves a SIC by orders of magnitude less, so an
+# order that ties the winner is never pruned.
 _PRUNE_RTOL = 1e-8
+
+# A corner bounds its box only while its RSS exceeds this share of ||y||^2.
+# The long-double kernel's residual norm is off by about rows * p * eps *
+# ||y||, near 3e-16 ||y|| at 60 rows and 40 columns; above the floor, where
+# ||r|| > 1e-4 ||y||, that moves a SIC by under 1e-9, inside the margin.
+# Below it (a near-perfect fit) the computed RSS is mostly rounding, nested
+# orders need not give ordered values, and the box is split down as for a
+# NaN corner.
+_RSS_FLOOR = 1e-8
 
 
 def _lag_grid(k: int, max_lag: int) -> np.ndarray:
@@ -386,7 +396,7 @@ def _descend(scores: _Scores, k: int, max_lag: int) -> None:
             break
 
 
-def _prove(scores: _Scores, k: int, max_lag: int, rows: int) -> None:
+def _prove(scores: _Scores, k: int, max_lag: int) -> None:
     """Score the grid's orders until every unscored one provably loses.
 
     The grid is split into boxes [lo, hi] of orders (componentwise). Each
@@ -395,17 +405,21 @@ def _prove(scores: _Scores, k: int, max_lag: int, rows: int) -> None:
     bound exceeds the least SIC scored so far by more than the margin is
     dropped; every other box with more than one order is halved along its
     widest dimension, and the new corners of a round are scored together.
-    A NaN corner (skipped) bounds nothing, so its box is split down to
-    single orders; a -inf corner (a perfect fit) stops all pruning.
+    A corner that is NaN (skipped) or whose RSS is at most _RSS_FLOOR of
+    ||y||^2 bounds nothing, so its box is split down to single orders; a
+    -inf corner (a perfect fit) also stops all pruning.
     """
-    ln_n = math.log(rows)
+    full, spec, _ = scores.args
+    rows = full.y.size
+    ln_n, rss_floor = math.log(rows), _RSS_FLOOR * float(np.dot(full.y, full.y))
     root = (max(1, max_lag),) + (max_lag,) * k
     scores.add([root])
     lo, hi, corner = np.array([(1,) + (0,) * k]), np.array([root]), np.array([scores[root]])
     while True:
         best = scores.best
         cut = best + _PRUNE_RTOL * (abs(best) + 1.0) if math.isfinite(best) else math.inf
-        live = ~(corner - (hi - lo).sum(axis=1) * ln_n > cut) & (hi > lo).any(axis=1)
+        bounded = corner > sic_from_rss(rss_floor, rows, _widths(spec, hi))
+        live = ~(bounded & (corner - (hi - lo).sum(axis=1) * ln_n > cut)) & (hi > lo).any(axis=1)
         lo, hi, corner = lo[live], hi[live], corner[live]
         if not len(lo):
             return
@@ -439,9 +453,11 @@ def select_lags(
     lose: o nests in a scored corner hi of its box [lo, hi], so RSS(o) >=
     RSS(hi) and SIC(o) >= SIC(hi) - (width(hi) - width(lo)) * ln(rows). A
     box is dropped only when that bound exceeds the incumbent by more than
-    _PRUNE_RTOL * (|incumbent| + 1), far above the RSS rounding, so a tie
-    with the winner is always scored and the winner is the one the whole
-    grid gives. Then `n_evaluated` is the grid size, `n_skipped` counts the
+    _PRUNE_RTOL * (|incumbent| + 1), and only when RSS(hi) exceeds
+    _RSS_FLOOR * ||y||^2, so that the margin is far above the RSS rounding.
+    A tie with the winner is then always scored and the winner is the one
+    the whole grid gives; a near-perfect fit, whose RSS is mostly rounding,
+    bounds nothing and its box is scored in full. Then `n_evaluated` is the grid size, `n_skipped` counts the
     grid's orders with no more rows than columns plus the rank-deficient
     orders among those scored (a dropped order nests in a full-rank
     corner), and `exhaustive` is True.
@@ -465,7 +481,7 @@ def select_lags(
     _descend(scores, k, max_lag)
     exhaustive = grid_size <= budget
     if exhaustive:
-        _prove(scores, k, max_lag, rows)
+        _prove(scores, k, max_lag)
     else:
         msg = (
             f"lag grid has {grid_size} candidates, over the budget of {budget}; "

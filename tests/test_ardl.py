@@ -476,6 +476,32 @@ def test_select_lags_margin_covers_rounding_of_a_corner(monkeypatch):
     assert res.n_scored < res.n_evaluated
 
 
+
+def test_select_lags_near_perfect_fits_bound_nothing(monkeypatch):
+    # far below the RSS floor the SICs are rounding noise, unordered by
+    # nesting: no box may be dropped, and the least value wins
+    spec = _spec(2)
+    frame = _walk_frame(np.random.default_rng(53), 40, spec)
+    noise = -5000.0 + np.random.default_rng(59).uniform(0.0, 200.0, size=(4, 5, 5))
+
+    def noisy_sics(full, spec, max_lag, orders):
+        return noise[orders[:, 0] - 1, orders[:, 1], orders[:, 2]]
+
+    monkeypatch.setattr(ardl, "_candidate_sics", noisy_sics)
+    res = select_lags(frame, spec, max_lag=4)
+    m, q1, q2 = np.unravel_index(noise.argmin(), noise.shape)
+    assert res.order.as_tuple() == (m + 1, q1, q2) and res.sic == noise.min()
+    assert res.n_scored == res.n_evaluated == 100
+
+    # e's difference is exactly 0.2 + x0's lagged difference: every order with
+    # q0 >= 1 fits up to rounding, and the kernel's noise picks the winner
+    monkeypatch.undo()
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(40, 2)).cumsum(axis=0)
+    de = 0.2 + np.diff(x[:, 0], prepend=0.0)
+    frame = _frame(spec.level_terms, np.column_stack([np.r_[0.0, de[:-1]].cumsum(), x]))
+    _assert_same_search(select_lags(frame, spec, max_lag=4), _reference_select(frame, spec, 4))
+
 def test_critical_bounds_table_values():
     assert tuple(critical_bounds(2, 0.05)) == (3.368, 4.205)
     assert tuple(critical_bounds(2, 0.01)) == (4.8, 5.725)
