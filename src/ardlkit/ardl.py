@@ -135,11 +135,17 @@ class LagOrder:
 
 @dataclass(frozen=True)
 class Design:
-    """Assembled regression arrays plus the metadata needed downstream."""
+    """Assembled regression arrays plus the metadata needed downstream.
+
+    `entries` and `lags` tag each column as `_layout` does: the lag-order
+    entry that governs it and its lag.
+    """
 
     y: np.ndarray
     X: np.ndarray
     column_names: tuple[str, ...]
+    entries: np.ndarray
+    lags: np.ndarray
     level_indices: tuple[int, ...]
     first_year: int
     last_year: int
@@ -163,16 +169,23 @@ class ArdlFit:
         return self.ols.column_names
 
 
-def _short_run_names(spec: ModelSpec, lags: LagOrder) -> list[str]:
-    names = []
-    if spec.include_intercept:
-        names.append("const")
-    for j in range(1, lags.dep + 1):
-        names.append(f"d_{spec.dependent}_l{j}")
-    for name, q in zip(spec.regressors, lags.regressors):
-        names.append(f"d_{name}")
-        names.extend(f"d_{name}_l{j}" for j in range(1, q + 1))
-    return names
+def _layout(spec: ModelSpec, lags: LagOrder) -> list[tuple[str, str | None, int, int]]:
+    """The design's columns in order, each as (name, variable, entry, lag).
+
+    The order is fixed: intercept; dependent difference lags 1..m;
+    per-regressor difference lags 0..q; then every level lagged once
+    (dependent first). `entry` is the lag-order entry that governs the
+    column: 0 for the dependent's lags, r for regressor r, -1 for the
+    columns every order keeps (the intercept, whose variable is None, and
+    the lagged levels). A column with entry e >= 0 is in an order o's design
+    exactly when its lag is at most o[e].
+    """
+    columns = [("const", None, -1, 0)] if spec.include_intercept else []
+    columns += [(f"d_{spec.dependent}_l{j}", spec.dependent, 0, j) for j in range(1, lags.dep + 1)]
+    for r, (name, q) in enumerate(zip(spec.regressors, lags.regressors), 1):
+        columns += [(f"d_{name}" + (f"_l{j}" if j else ""), name, r, j) for j in range(q + 1)]
+    columns += [(f"{c}_lm1", c, -1, 1) for c in spec.level_terms]
+    return columns
 
 
 def build_design(
@@ -183,11 +196,9 @@ def build_design(
 ) -> Design:
     """Assemble y and X for the ARDL regression on `frame`.
 
-    Column order is fixed: intercept; dependent difference lags 1..m;
-    per-regressor difference lags 0..q; then every lagged level (dependent
-    first). `common_lag` trims the sample as if the maximum lag were that
-    value, so fits with different lag orders share one sample during
-    selection.
+    The columns are `_layout`'s. `common_lag` trims the sample as if the
+    maximum lag were that value, so fits with different lag orders share
+    one sample during selection.
 
     Returns a Design whose first_year is the year of the first usable row.
     """
@@ -207,7 +218,7 @@ def build_design(
         lmax = common_lag
     t0 = lmax + 1
     rows = frame.n_rows - t0
-    n_cols = len(_short_run_names(spec, lags)) + len(spec.level_terms)
+    n_cols = len(_layout(spec, lags))
     if rows <= n_cols:
         raise ValueError(
             f"insufficient sample: {rows} usable rows after lag {lmax}, "
@@ -220,36 +231,27 @@ def _design(frame: AlignedFrame, spec: ModelSpec, lags: LagOrder, t0: int) -> De
     """build_design's arrays on the rows from t0 on, without its checks;
     the frame must have more than t0 rows."""
     n = frame.n_rows
-    rows = n - t0
     levels = {c: frame.col(c) for c in spec.level_terms}
     diffs = {c: np.diff(v) for c, v in levels.items()}
+    names, variables, entries, column_lags = zip(*_layout(spec, lags))
 
-    names = _short_run_names(spec, lags)
-    n_levels = len(spec.level_terms)
-    n_cols = len(names) + n_levels
+    cols, level_indices = [], []
+    for j, (var, entry, lag) in enumerate(zip(variables, entries, column_lags)):
+        if var is None:
+            cols.append(np.ones(n - t0))
+        elif entry < 0:
+            level_indices.append(j)
+            cols.append(levels[var][t0 - lag : n - lag])
+        else:
+            cols.append(diffs[var][t0 - 1 - lag : n - 1 - lag])
 
-    cols = []
-    if spec.include_intercept:
-        cols.append(np.ones(rows))
-    d_dep = diffs[spec.dependent]
-    for j in range(1, lags.dep + 1):
-        cols.append(d_dep[t0 - 1 - j : n - 1 - j])
-    for name, q in zip(spec.regressors, lags.regressors):
-        d = diffs[name]
-        for j in range(q + 1):
-            cols.append(d[t0 - 1 - j : n - 1 - j])
-    for c in spec.level_terms:
-        cols.append(levels[c][t0 - 1 : n - 1])
-        names.append(f"{c}_lm1")
-
-    X = np.column_stack(cols)
-    y = d_dep[t0 - 1 :].copy()
-    level_indices = tuple(range(n_cols - n_levels, n_cols))
     return Design(
-        y=y,
-        X=X,
-        column_names=tuple(names),
-        level_indices=level_indices,
+        y=diffs[spec.dependent][t0 - 1 :].copy(),
+        X=np.column_stack(cols),
+        column_names=names,
+        entries=np.array(entries),
+        lags=np.array(column_lags),
+        level_indices=tuple(level_indices),
         first_year=frame.first_year + t0,
         last_year=frame.last_year,
     )
@@ -320,56 +322,60 @@ def _lag_grid(k: int, max_lag: int) -> np.ndarray:
     return grid
 
 
-def _widths(spec: ModelSpec, orders: np.ndarray) -> np.ndarray:
-    """Design columns of each order (a row of `orders`)."""
-    n_fixed = int(spec.include_intercept) + len(spec.level_terms)
-    return n_fixed + orders[:, 0] + (orders[:, 1:] + 1).sum(axis=1)
+def _keeps(full: Design, orders: np.ndarray) -> np.ndarray:
+    """(orders, columns) mask of the columns of `full` in each order's
+    design (a row of `orders`), read from the design's tags."""
+    # an entry of -1 indexes the order's last entry; the first test overrides it
+    return (full.entries < 0) | (full.lags <= orders[:, full.entries])
 
 
-def _candidate_sics(full: Design, spec: ModelSpec, max_lag: int, orders: np.ndarray) -> np.ndarray:
-    """SIC of each order (a row of `orders`) on the common sample of `full`,
-    the design at every lag up to `max_lag`.
+def _candidate_sics(full: Design, orders: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """SIC of each order (a row of `orders`, whose design has `widths`
+    columns) on the common sample of `full`, the design at every lag of the
+    grid.
 
-    Each order's columns are picked from `full`, in `build_design`'s layout,
-    and orders of one width are factored in stacks of _STACK. NaN marks an
-    order with no more rows than columns or a rank-deficient design.
+    Each order's columns are picked from `full` by `_keeps`, and orders of
+    one width are factored in stacks of _STACK. NaN marks an order with no
+    more rows than columns or a rank-deficient design.
     """
     sics = np.full(len(orders), np.nan)
     rows = full.y.size
-    c0, n_levels = int(spec.include_intercept), len(full.level_indices)
-    widths = _widths(spec, orders)
-    dep_lags, reg_lags = np.arange(1, max(1, max_lag) + 1), np.arange(max_lag + 1)
     X, y = full.X.astype(np.longdouble), full.y.astype(np.longdouble)
     for p in sorted(set(widths[widths < rows].tolist())):
         group = np.flatnonzero(widths == p)
         for at in range(0, len(group), _STACK):
             stack = group[at : at + _STACK]
-            lags = orders[stack, :, None]
-            keep = np.concatenate(
-                [np.ones((len(stack), c0), bool), dep_lags <= lags[:, 0]]
-                + [reg_lags <= lags[:, r] for r in range(1, orders.shape[1])]
-                + [np.ones((len(stack), n_levels), bool)],
-                axis=1,
-            )
-            cols = np.nonzero(keep)[1].reshape(len(stack), 1, p)
+            cols = np.nonzero(_keeps(full, orders[stack]))[1].reshape(len(stack), 1, p)
             rss = stacked_rss(X[np.arange(rows)[:, None], cols], np.repeat(y[None], len(stack), 0))
             sics[stack] = sic_from_rss(rss, rows, p)
     return sics
 
 
 class _Scores(dict):
-    """SIC by order tuple over one cell's common sample; scores each new
-    order once, in one `_candidate_sics` call per `add`."""
+    """SIC by order tuple over one cell's common sample `full`, the design
+    at every lag up to `max_lag`; scores each new order once, in one
+    `_candidate_sics` call per `add`."""
 
-    def __init__(self, full: Design, spec: ModelSpec, max_lag: int):
+    def __init__(self, full: Design, k: int, max_lag: int):
         super().__init__()
-        self.args = (full, spec, max_lag)
+        self.full = full
         self.best = math.inf  # the least SIC scored so far
+        # counts[e, v]: the columns of entry e in the design of an order whose
+        # entry e is v, so a width takes one lookup per entry
+        values = np.arange(max(1, max_lag) + 1)[:, None]
+        keeps = (full.entries == np.arange(k + 1)[:, None, None]) & (full.lags <= values)
+        self.counts = keeps.sum(axis=2, dtype=np.int16)
+        self.fixed = int((full.entries < 0).sum())
+
+    def width(self, orders: np.ndarray) -> np.ndarray:
+        """Design columns of each order (a row of `orders`)."""
+        return self.fixed + self.counts[np.arange(orders.shape[1]), orders].sum(axis=1)
 
     def add(self, orders: list[tuple[int, ...]]) -> None:
         new = [o for o in orders if o not in self]
         if new:
-            sics = _candidate_sics(*self.args, np.array(new))
+            new_orders = np.array(new)
+            sics = _candidate_sics(self.full, new_orders, self.width(new_orders))
             self.update(zip(new, sics.tolist()))
             valid = sics[~np.isnan(sics)]
             if valid.size:
@@ -409,7 +415,7 @@ def _prove(scores: _Scores, k: int, max_lag: int) -> None:
     ||y||^2 bounds nothing, so its box is split down to single orders; a
     -inf corner (a perfect fit) also stops all pruning.
     """
-    full, spec, _ = scores.args
+    full = scores.full
     rows = full.y.size
     ln_n, rss_floor = math.log(rows), _RSS_FLOOR * float(np.dot(full.y, full.y))
     root = (max(1, max_lag),) + (max_lag,) * k
@@ -418,8 +424,9 @@ def _prove(scores: _Scores, k: int, max_lag: int) -> None:
     while True:
         best = scores.best
         cut = best + _PRUNE_RTOL * (abs(best) + 1.0) if math.isfinite(best) else math.inf
-        bounded = corner > sic_from_rss(rss_floor, rows, _widths(spec, hi))
-        live = ~(bounded & (corner - (hi - lo).sum(axis=1) * ln_n > cut)) & (hi > lo).any(axis=1)
+        width = scores.width(hi)
+        bounded = corner > sic_from_rss(rss_floor, rows, width)
+        live = ~(bounded & (corner - (width - scores.width(lo)) * ln_n > cut)) & (hi > lo).any(axis=1)
         lo, hi, corner = lo[live], hi[live], corner[live]
         if not len(lo):
             return
@@ -477,7 +484,7 @@ def select_lags(
     grid_size = top * (max_lag + 1) ** k
 
     notes: list[str] = []
-    scores = _Scores(full, spec, max_lag)
+    scores = _Scores(full, k, max_lag)
     _descend(scores, k, max_lag)
     exhaustive = grid_size <= budget
     if exhaustive:
@@ -494,10 +501,10 @@ def select_lags(
     valid = ~np.isnan(sics)
     if not valid.any():
         raise ValueError("every candidate lag order produced a rank-deficient design")
-    factored = _widths(spec, orders) < rows
+    factored = scores.width(orders) < rows
     if exhaustive:
         n_evaluated = grid_size
-        n_skipped = int((_widths(spec, _lag_grid(k, max_lag)) >= rows).sum() + (factored & ~valid).sum())
+        n_skipped = int((scores.width(_lag_grid(k, max_lag)) >= rows).sum() + (factored & ~valid).sum())
     else:
         n_evaluated, n_skipped = len(orders), int((~valid).sum())
     tied = orders[sics == sics[valid].min()].tolist()
@@ -531,41 +538,20 @@ class CriticalBounds:
         yield self.upper
 
 
-def critical_bounds(
-    k: int,
-    significance: float = 0.05,
-    n_obs: int | None = None,
-    variant: str = "primary",
-    allow_simulation: bool = False,
-    simulation_kwargs: dict | None = None,
-) -> CriticalBounds:
+def critical_bounds(k: int, significance: float = 0.05, variant: str = "primary") -> CriticalBounds:
     """Lower/upper F-bounds for `k` level regressors at `significance`.
 
     Published small-sample values cover the (k, significance) cells listed
-    in the embedded table; other cells can be Monte Carlo simulated when
-    `allow_simulation` is set and `n_obs` is given (result flagged
-    ``simulated``).
+    in the embedded table; `simulate_bounds` estimates any other cell.
     """
     if not 2 <= k <= 7:
         raise ValueError(f"k must be in 2..7, got {k}")
     if significance not in _ALPHAS:
         raise ValueError(f"significance must be one of {_ALPHAS}, got {significance}")
     hit = _BOUNDS_TABLE.get((k, significance, variant))
-    if hit is not None:
-        return CriticalBounds(hit[0], hit[1], "table")
-    if not allow_simulation:
-        raise ValueError(
-            f"no tabulated bounds for k={k} at {significance:.0%} "
-            f"(variant {variant!r}); pass allow_simulation=True to estimate them"
-        )
-    if n_obs is None:
-        raise ValueError("simulation fallback needs n_obs")
-    from .critval import McConfig, simulate_bounds
-
-    cfg = McConfig(k=k, n_obs=n_obs, **(simulation_kwargs or {}))
-    est = simulate_bounds(cfg)
-    lo, hi = est.bounds[significance]
-    return CriticalBounds(lo, hi, "simulated")
+    if hit is None:
+        raise ValueError(f"no tabulated bounds for k={k} at {significance:.0%} (variant {variant!r})")
+    return CriticalBounds(hit[0], hit[1], "table")
 
 
 @dataclass(frozen=True)

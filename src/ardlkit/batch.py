@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,6 @@ _PRESET_CONTROLS: dict[str, tuple[str, ...]] = {
 # densities, and per-capita energy quantities enter untransformed
 _LOGGED = {DEPENDENT_RAW, INCOME_RAW, "x1", "x2", "x3"}
 
-_MODEL_K = {"M1": 2, "M2": 5, "M3": 4, "M4": 6, "M5": 5, "M6": 6}
 _MODEL_VARIANT = {"M5": "alt"}
 
 
@@ -107,7 +106,7 @@ def model_bounds(model_id: str) -> dict[float, tuple[float, float]]:
     tabulated bounds (with a row warning), mirroring how shortened rows are
     judged against the same table in the source workflow.
     """
-    k = _MODEL_K[model_id]
+    k = preset(model_id).k
     variant = _MODEL_VARIANT.get(model_id, "primary")
     out: dict[float, tuple[float, float]] = {}
     for alpha in (0.01, 0.05, 0.10):
@@ -156,19 +155,13 @@ class RunConfig:
             raise ValueError(f"unknown output formats {bad}")
 
 
-_CONFIG_KEYS = {
-    "manifest", "countries", "models", "max_lag", "significance",
-    "min_window", "lag_budget", "output_dir", "formats", "workers",
-}
-
-
 def load_config(path) -> RunConfig:
     """RunConfig from a JSON file; relative paths resolve against it."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     if "manifest" not in raw:
@@ -285,9 +278,10 @@ def run_cell(
             out["ols_covariance"] = [[float(v) for v in r] for r in fit.ols.covariance]
 
             stage = "bounds test"
-            if fit.k != _MODEL_K[model]:
+            model_k = preset(model).k
+            if fit.k != model_k:
                 notes.append(
-                    f"bounds test: tabulated bounds are for k={_MODEL_K[model]}, "
+                    f"bounds test: tabulated bounds are for k={model_k}, "
                     f"design has k={fit.k} after overrides"
                 )
             bt = bounds_test(fit, config.significance, bounds=model_bounds(model))
@@ -437,27 +431,9 @@ RESULT_SCHEMA = {
 
 
 def row_to_dict(row: CountryRow) -> dict:
-    return {
-        "country": row.country,
-        "model": row.model,
-        "lag_order": list(row.lag_order) if row.lag_order is not None else None,
-        "sample": list(row.sample) if row.sample is not None else None,
-        "f_stat": row.f_stat,
-        "bounds": list(row.bounds) if row.bounds is not None else None,
-        "decision": row.decision,
-        "beta0": row.beta0,
-        "beta0_stderr": row.beta0_stderr,
-        "coefficients": row.coefficients,
-        "turning_point": row.turning_point,
-        "turning_point_in_sample": row.turning_point_in_sample,
-        "shape": row.shape,
-        "phi": row.phi,
-        "phi_stderr": row.phi_stderr,
-        "phi_mark": row.phi_mark,
-        "ols_coefficients": row.ols_coefficients,
-        "ols_covariance": row.ols_covariance,
-        "warnings": list(row.warnings),
-    }
+    """The row's fields but `significance`, in field order, tuples as lists."""
+    values = {f.name: getattr(row, f.name) for f in fields(row) if f.name != "significance"}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
 
 def _fmt(v) -> str:
@@ -592,7 +568,7 @@ def render(rows, out_dir, formats=("csv", "json", "md")) -> list[Path]:
                 lo, hi = pinned[rows[0].significance]
                 pct = f"{rows[0].significance:.0%}"
                 lines.append(
-                    f"Bounds at {pct}: lower = {lo}, upper = {hi} (k = {_MODEL_K[model]})."
+                    f"Bounds at {pct}: lower = {lo}, upper = {hi} (k = {preset(model).k})."
                 )
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regression import RANK_RTOL, _rss_only
+from .regression import RANK_RTOL, inverse_upper, stacked_rss
 
 __all__ = ["McBounds", "McConfig", "simulate_bounds"]
 
@@ -209,10 +209,10 @@ def _f_stat(dep: np.ndarray, regressors: np.ndarray) -> float | None:
     dof = y.size - p
     if dof <= 0:
         raise ValueError(f"n_obs too small: {dof} residual degrees of freedom")
-    rss_full = _rss_only(X, y)
-    if rss_full is None or rss_full <= 0.0:
-        return None
     yl = y.astype(np.longdouble)
+    rss_full = stacked_rss(X.astype(np.longdouble)[None], yl[None].copy())[0]
+    if not rss_full > 0.0:  # NaN (rank deficient) or a perfect fit
+        return None
     rss_restricted = float(yl @ yl)
     f = ((rss_restricted - rss_full) / p) / (rss_full / dof)
     return max(float(f), 0.0)
@@ -236,21 +236,6 @@ def _draws(cfg: McConfig, gen: np.random.Generator, keys: list[list[int]]):
     return dep, noise, walk
 
 
-def _inverse_upper(U: np.ndarray) -> np.ndarray:
-    """Inverse of each stacked upper-triangular U, by back substitution.
-
-    Row i of the inverse is solved from the rows below it, for all systems
-    at once. A zero diagonal entry gives inf or NaN entries.
-    """
-    p = U.shape[-1]
-    X = np.zeros_like(U)
-    for i in range(p - 1, -1, -1):
-        X[:, i, i] = 1.0
-        X[:, i, i + 1 :] = -np.matmul(U[:, i : i + 1, i + 1 :], X[:, i + 1 :, i + 1 :])[:, 0]
-        X[:, i, i:] /= U[:, i, i, None]
-    return X
-
-
 def _screen(R: np.ndarray) -> np.ndarray:
     """Systems whose float64 factor R of [X | y] may stand in for `_f_stat`.
 
@@ -262,7 +247,7 @@ def _screen(R: np.ndarray) -> np.ndarray:
     p = R.shape[-1] - 1
     RX = R[:, :p, :p]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = _inverse_upper(RX)
+        inv = inverse_upper(RX)
         inv_norm = np.sqrt(np.einsum("rij,rij->r", inv, inv))
     # sigma_min(RX) >= 1 / ||RX^-1||_F (NaN fails the test below). Each
     # column of the computed inverse is exact for RX perturbed by at most

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,18 +115,15 @@ def long_run(fit: ArdlFit) -> LongRunResult:
         beta0_se = math.sqrt(_ratio_variance(cov, c_idx, dep_idx, raw, delta_dep))
 
     tp = None
-    shape = Shape.INDETERMINATE
     if spec.income_order == 2:
-        b1 = betas[spec.income]
         b2 = betas[spec.income + "2"]
         if b2 != 0.0:
             try:
-                tp = turning_point(b1, b2)
+                tp = turning_point(betas[spec.income], b2)
             except ValueError:
                 tp = None       # implied optimum beyond floating-point range
-        shape = _classify(b1, b2, marks[spec.income], marks[spec.income + "2"], 0.05)
 
-    return LongRunResult(
+    lr = LongRunResult(
         spec=spec,
         beta0=beta0,
         beta0_stderr=beta0_se,
@@ -134,8 +131,9 @@ def long_run(fit: ArdlFit) -> LongRunResult:
         stderrs=stderrs,
         marks=marks,
         turning_point=tp,
-        shape=shape,
+        shape=Shape.INDETERMINATE,
     )
+    return replace(lr, shape=classify_shape(lr)) if spec.income_order == 2 else lr
 
 
 def turning_point(beta1: float, beta2: float) -> float:
@@ -153,20 +151,6 @@ def turning_point(beta1: float, beta2: float) -> float:
         raise ValueError(f"turning point overflows: exp({x:.3g})") from None
 
 
-def _classify(b1: float, b2: float, m1: Significance, m2: Significance, alpha: float) -> Shape:
-    s1 = m1.significant_at(alpha)
-    s2 = m2.significant_at(alpha)
-    if s1 and s2:
-        if b1 > 0 and b2 < 0:
-            return Shape.INVERTED_U
-        if b1 < 0 and b2 > 0:
-            return Shape.U_SHAPE
-        return Shape.INDETERMINATE
-    if s1 != s2:
-        return Shape.MONOTONIC
-    return Shape.INDETERMINATE
-
-
 def classify_shape(lr: LongRunResult, significance: float = 0.05) -> Shape:
     """Income-emissions shape from the two income coefficients.
 
@@ -177,13 +161,18 @@ def classify_shape(lr: LongRunResult, significance: float = 0.05) -> Shape:
     if lr.spec.income_order != 2:
         raise ValueError("shape classification is defined for quadratic income only")
     income = lr.spec.income
-    return _classify(
-        lr.betas[income],
-        lr.betas[income + "2"],
-        lr.marks[income],
-        lr.marks[income + "2"],
-        significance,
-    )
+    b1, b2 = lr.betas[income], lr.betas[income + "2"]
+    s1 = lr.marks[income].significant_at(significance)
+    s2 = lr.marks[income + "2"].significant_at(significance)
+    if s1 and s2:
+        if b1 > 0 and b2 < 0:
+            return Shape.INVERTED_U
+        if b1 < 0 and b2 > 0:
+            return Shape.U_SHAPE
+        return Shape.INDETERMINATE
+    if s1 != s2:
+        return Shape.MONOTONIC
+    return Shape.INDETERMINATE
 
 
 def estimate_uecm(
@@ -210,13 +199,12 @@ def estimate_uecm(
     if np.all(ec == ec[0]):
         raise ValueError("error-correction series is degenerate (zero variance)")
 
-    n_levels = len(spec.level_terms)
-    n_short = design.X.shape[1] - n_levels
+    short = [j for j in range(design.X.shape[1]) if j not in design.level_indices]
     t0 = design.first_year - frame.first_year
     ec_lagged = ec[t0 - 1 : frame.n_rows - 1]
 
-    X = np.column_stack([design.X[:, :n_short], ec_lagged])
-    names = design.column_names[:n_short] + ("ec_lm1",)
+    X = np.column_stack([design.X[:, short], ec_lagged])
+    names = tuple(design.column_names[j] for j in short) + ("ec_lm1",)
     fit = ols(X, design.y, names)
 
     phi = float(fit.coefficients[-1])

@@ -107,11 +107,6 @@ class OlsFit:
     def dof(self) -> int:
         return self.n_obs - self.n_params
 
-    @property
-    def tvalues(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.stderr > 0.0, self.coefficients / self.stderr, 0.0)
-
 
 # ---- QR kernel ----------------------------------------------------------
 
@@ -219,29 +214,20 @@ def stacked_rss(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return rss
 
 
-def _rss_only(X: np.ndarray, y: np.ndarray) -> float | None:
-    """RSS of the least-squares fit, or None if X is rank deficient.
+def inverse_upper(U: np.ndarray) -> np.ndarray:
+    """Inverse of each stacked upper-triangular U (B, p, p), by back
+    substitution.
 
-    The single-system entry point of `stacked_rss`, for the Monte Carlo
-    reference kernel.
+    Row i of the inverse is solved from the rows below it, for all systems
+    at once. A zero diagonal entry gives inf or NaN entries.
     """
-    A = np.array(X, dtype=np.longdouble, order="C")[None]
-    rss = stacked_rss(A, np.array(y, dtype=np.longdouble)[None])[0]
-    return None if np.isnan(rss) else float(rss)
-
-
-def _inv_gram_from_r(R: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """(X'X)^{-1} from the triangular factor, unpermuted."""
-    p = R.shape[0]
-    Rinv = np.zeros((p, p), dtype=R.dtype)
+    p = U.shape[-1]
+    X = np.zeros_like(U)
     for i in range(p - 1, -1, -1):
-        Rinv[i, i] = 1.0 / R[i, i]
-        for j in range(i + 1, p):
-            Rinv[i, j] = -np.dot(R[i, i + 1 : j + 1], Rinv[i + 1 : j + 1, j]) / R[i, i]
-    C = Rinv @ Rinv.T
-    out = np.empty_like(C)
-    out[np.ix_(piv, piv)] = C
-    return out
+        X[:, i, i] = 1.0
+        X[:, i, i + 1 :] = -np.matmul(U[:, i : i + 1, i + 1 :], X[:, i + 1 :, i + 1 :])[:, 0]
+        X[:, i, i:] /= U[:, i, i, None]
+    return X
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -295,7 +281,11 @@ def ols(X, y, names: tuple[str, ...] | None = None) -> OlsFit:
     beta, resid, rss, R, piv = _solve_ls(X, y, tuple(names))
     dof = n - p
     sigma2 = rss / dof
-    cov = sigma2 * _inv_gram_from_r(R, piv)
+    # (X'X)^{-1} = R^{-1} R^{-T}, unpermuted
+    Rinv = inverse_upper(R[None])[0]
+    inv_gram = np.empty((p, p), dtype=R.dtype)
+    inv_gram[np.ix_(piv, piv)] = Rinv @ Rinv.T
+    cov = sigma2 * inv_gram
     cov = 0.5 * (cov + cov.T)  # exact symmetry
     stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
 

@@ -19,7 +19,7 @@ from ardlkit.ardl import (
     fit_ardl,
     select_lags,
 )
-from ardlkit.regression import _rss_only, ols, sic, sic_from_rss
+from ardlkit.regression import ols, sic, sic_from_rss, stacked_rss
 from ardlkit.manifest import load_country, load_manifest
 from ardlkit.timeseries import AlignedFrame, align
 from oracles import naive_ardl_design
@@ -253,15 +253,36 @@ def _walk_frame(rng, n, spec):
     return _frame(spec.level_terms, data)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("include_intercept", [True, False])
+def test_design_tags_pick_each_orders_columns(k, include_intercept):
+    # the search takes each order's columns from the full design by its
+    # tags: they must be build_design's for that order on the common sample,
+    # and the width table must count them
+    spec = _spec(k, include_intercept)
+    frame = _walk_frame(np.random.default_rng(70 + k), 60, spec)
+    for max_lag in range(4):
+        top = max(1, max_lag)
+        full = ardl._design(frame, spec, LagOrder(top, (max_lag,) * k), top + 1)
+        grid = ardl._lag_grid(k, max_lag)
+        widths = ardl._Scores(full, k, max_lag).width(grid)
+        for order, keep, width in zip(grid.tolist(), ardl._keeps(full, grid), widths):
+            d = build_design(frame, spec, LagOrder(order[0], order[1:]), common_lag=top)
+            assert tuple(n for n, kept in zip(full.column_names, keep) if kept) == d.column_names
+            np.testing.assert_array_equal(full.X[:, keep], d.X)
+            assert width == keep.sum() == d.X.shape[1]
+
+
 def _reference_sic(frame, spec, vec, max_lag):
     """SIC of one order by the per-candidate route (build_design on the
-    common sample, then _rss_only); None when the order is skipped."""
+    common sample, then stacked_rss on a stack of one); None when the order
+    is skipped."""
     try:
         d = build_design(frame, spec, LagOrder(vec[0], vec[1:]), common_lag=max(1, max_lag))
     except ValueError:
         return None
-    rss = _rss_only(d.X, d.y)
-    return None if rss is None else float(sic_from_rss(rss, *d.X.shape))
+    rss = stacked_rss(d.X.astype(np.longdouble)[None], d.y.astype(np.longdouble)[None])[0]
+    return None if np.isnan(rss) else float(sic_from_rss(rss, *d.X.shape))
 
 
 def _reference_select(frame, spec, max_lag, budget=1_000_000):
@@ -341,12 +362,13 @@ def test_select_lags_stack_size_does_not_change_the_result(monkeypatch):
     top = 2
     full = ardl._design(frame, spec, LagOrder(top, (2,) * 4), top + 1)
     grid = ardl._lag_grid(4, 2)
-    expected = ardl._candidate_sics(full, spec, 2, grid)
+    widths = ardl._Scores(full, 4, 2).width(grid)
+    expected = ardl._candidate_sics(full, grid, widths)
     result = select_lags(frame, spec, max_lag=2)
     # 162 candidates in width groups of uneven sizes, split into stacks differently
     for size in (1, 5, 7, 200):
         monkeypatch.setattr(ardl, "_STACK", size)
-        np.testing.assert_array_equal(ardl._candidate_sics(full, spec, 2, grid), expected)
+        np.testing.assert_array_equal(ardl._candidate_sics(full, grid, widths), expected)
         assert select_lags(frame, spec, max_lag=2) == result
 
 
@@ -387,7 +409,7 @@ def test_select_lags_coordinate_search_matches_the_sequential_one():
 def test_select_lags_tie_break(monkeypatch):
     # equal SIC for every order of total 3 or 4, skipped ones of total 2:
     # the smallest total wins, then the lexicographically smallest order
-    def fake_sics(full, spec, max_lag, orders):
+    def fake_sics(full, orders, widths):
         total = orders.sum(axis=1)
         return np.where(total == 2, np.nan, np.where((total == 3) | (total == 4), 1.0, 2.0))
 
@@ -424,9 +446,9 @@ def test_select_lags_every_unscored_order_loses(monkeypatch):
     seen = set()
     kernel = ardl._candidate_sics
 
-    def spy(full, spec, max_lag, orders):
+    def spy(full, orders, widths):
         seen.update(map(tuple, orders.tolist()))
-        return kernel(full, spec, max_lag, orders)
+        return kernel(full, orders, widths)
 
     monkeypatch.setattr(ardl, "_candidate_sics", spy)
     rng = np.random.default_rng(43)
@@ -463,7 +485,7 @@ def test_select_lags_margin_covers_rounding_of_a_corner(monkeypatch):
     frame = _walk_frame(np.random.default_rng(47), 40, spec)
     ln_n = np.log(40 - 3)
 
-    def nested_sics(full, spec, max_lag, orders):
+    def nested_sics(full, orders, widths):
         m, q1, q2 = orders.T
         gain = np.where((q1 >= 1) | (m >= 2), ln_n, np.where(q2 >= 1, 0.0, -1.0))
         sics = tie_sic + (orders.sum(axis=1) - 1) * ln_n - gain
@@ -484,7 +506,7 @@ def test_select_lags_near_perfect_fits_bound_nothing(monkeypatch):
     frame = _walk_frame(np.random.default_rng(53), 40, spec)
     noise = -5000.0 + np.random.default_rng(59).uniform(0.0, 200.0, size=(4, 5, 5))
 
-    def noisy_sics(full, spec, max_lag, orders):
+    def noisy_sics(full, orders, widths):
         return noise[orders[:, 0] - 1, orders[:, 1], orders[:, 2]]
 
     monkeypatch.setattr(ardl, "_candidate_sics", noisy_sics)

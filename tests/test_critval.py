@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import ardlkit.critval as critval
-from ardlkit.ardl import critical_bounds
 from ardlkit.critval import ALPHAS, McConfig, simulate_bounds
+from ardlkit.regression import inverse_upper
 
 from oracles import substream
 
@@ -219,7 +219,7 @@ def test_screen_rejects_rank_deficient_systems():
     assert not cleared[0] and not cleared[1]
     assert cleared[2:].all()
     RX = R[2:, :p, :p]
-    np.testing.assert_allclose(critval._inverse_upper(RX), np.linalg.inv(RX), rtol=1e-8, atol=0)
+    np.testing.assert_allclose(inverse_upper(RX), np.linalg.inv(RX), rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -260,7 +260,7 @@ def test_replications_not_a_multiple_of_the_chunk():
 def test_screen_failure_goes_through_reference_and_resample(monkeypatch):
     cfg = McConfig(k=1, n_obs=20, replications=1000, seed=3, bootstrap_replications=10)
     real_screen = critval._screen
-    real_rss = critval._rss_only
+    real_rss = critval.stacked_rss
     calls = {"n": 0}
 
     def screen_fails_first_rows(R):
@@ -268,14 +268,14 @@ def test_screen_failure_goes_through_reference_and_resample(monkeypatch):
         cleared[:2] = False
         return cleared
 
-    def flaky(X, y):
+    def flaky(A, z):
         calls["n"] += 1
         if calls["n"] <= 3:
-            return None
-        return real_rss(X, y)
+            return np.full(len(A), np.nan)  # as for a rank-deficient system
+        return real_rss(A, z)
 
     monkeypatch.setattr(critval, "_screen", screen_fails_first_rows)
-    monkeypatch.setattr(critval, "_rss_only", flaky)
+    monkeypatch.setattr(critval, "stacked_rss", flaky)
     res = simulate_bounds(cfg)
     # the lower systems of replications 0 and 1 go to the reference kernel;
     # it fails both at attempt 0 and replication 0 again at attempt 1
@@ -309,15 +309,3 @@ def test_resampling_counted_and_capped(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="resample attempts"):
         simulate_bounds(cfg)
-
-
-def test_simulation_fallback_via_critical_bounds():
-    b = critical_bounds(
-        3,
-        0.05,
-        n_obs=40,
-        allow_simulation=True,
-        simulation_kwargs={"replications": 1200, "seed": 9, "bootstrap_replications": 20},
-    )
-    assert b.source == "simulated"
-    assert 0.5 < b.lower < b.upper < 12.0

@@ -10,8 +10,8 @@ from ardlkit.regression import (
     OlsFit,
     RankDeficientError,
     Significance,
-    _rss_only,
     householder,
+    inverse_upper,
     ols,
     sic,
     sic_from_rss,
@@ -303,9 +303,24 @@ def test_householder_stack_equals_single_systems(n, p):
         assert np.array_equal(piv1[0], piv[b])
     rss = stacked_rss(A.astype(np.longdouble), y.astype(np.longdouble))
     for b in range(len(A)):
-        single = _rss_only(A[b], y[b])
-        assert (single is None and np.isnan(rss[b])) or single == rss[b]
+        single = stacked_rss(A[b : b + 1].astype(np.longdouble), y[b : b + 1].astype(np.longdouble))[0]
+        assert (np.isnan(single) and np.isnan(rss[b])) or single == rss[b]
     assert np.isnan(rss[1]) and np.isnan(rss[0]) == (p > 1)
+
+
+def test_inverse_upper_stack_equals_single_systems():
+    rng = np.random.default_rng(3)
+    A, y = _stack_problems(rng, 8, 30, 7)
+    stack = A[3:].astype(np.longdouble)  # full-rank systems only
+    householder(stack, y[3:].astype(np.longdouble))
+    R = np.triu(stack[:, :7])
+    inv = inverse_upper(R)
+    assert inv.dtype == np.longdouble
+    for b in range(len(R)):
+        # bit for bit, as when the system is inverted alone
+        assert np.array_equal(inverse_upper(R[b : b + 1])[0], inv[b])
+        assert np.array_equal(inv[b], np.triu(inv[b]))
+        np.testing.assert_allclose((R[b] @ inv[b]).astype(np.float64), np.eye(7), rtol=0, atol=1e-12)
 
 
 def test_householder_factors_every_system():
