@@ -188,19 +188,12 @@ def _layout(spec: ModelSpec, lags: LagOrder) -> list[tuple[str, str | None, int,
     return columns
 
 
-def build_design(
-    frame: AlignedFrame,
-    spec: ModelSpec,
-    lags: LagOrder,
-    common_lag: int | None = None,
-) -> Design:
-    """Assemble y and X for the ARDL regression on `frame`.
+def build_design(frame: AlignedFrame, spec: ModelSpec, lags: LagOrder) -> Design:
+    """Assemble y and X for the ARDL regression on `frame`, on the maximal
+    sample for these lags.
 
-    The columns are `_layout`'s. `common_lag` trims the sample as if the
-    maximum lag were that value, so fits with different lag orders share
-    one sample during selection.
-
-    Returns a Design whose first_year is the year of the first usable row.
+    The columns are `_layout`'s. Returns a Design whose first_year is the
+    year of the first usable row.
     """
     if len(lags.regressors) != len(spec.regressors):
         raise ValueError(
@@ -212,10 +205,6 @@ def build_design(
         raise KeyError(f"frame lacks columns: {', '.join(missing)}")
 
     lmax = lags.max_lag
-    if common_lag is not None:
-        if common_lag < lmax:
-            raise ValueError(f"common_lag {common_lag} < maximum lag {lmax}")
-        lmax = common_lag
     t0 = lmax + 1
     rows = frame.n_rows - t0
     n_cols = len(_layout(spec, lags))
@@ -229,7 +218,9 @@ def build_design(
 
 def _design(frame: AlignedFrame, spec: ModelSpec, lags: LagOrder, t0: int) -> Design:
     """build_design's arrays on the rows from t0 on, without its checks;
-    the frame must have more than t0 rows."""
+    the frame must have more than t0 rows. The lag search builds its common
+    sample with it: the design at every lag of the grid, from
+    t0 = max(1, max_lag) + 1."""
     n = frame.n_rows
     levels = {c: frame.col(c) for c in spec.level_terms}
     diffs = {c: np.diff(v) for c, v in levels.items()}

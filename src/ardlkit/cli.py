@@ -67,11 +67,12 @@ def _cmd_run(args) -> int:
     if config is None:
         return 2
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir is not None:
-        config = dataclasses.replace(config, output_dir=Path(out_dir))
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
     try:
+        # replace() re-runs RunConfig's validation on the overridden fields
+        if out_dir is not None:
+            config = dataclasses.replace(config, output_dir=Path(out_dir))
+        if args.workers is not None:
+            config = dataclasses.replace(config, workers=args.workers)
         rows = batch.run(config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -169,7 +170,7 @@ def _cmd_demo_data(args) -> int:
 
     try:
         manifest_path, config_path = write_demo_data(args.dir, seed=args.seed, max_lag=args.max_lag)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {manifest_path}")

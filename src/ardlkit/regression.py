@@ -1,13 +1,23 @@
 """Least-squares core: QR estimation, Wald F tests, SIC, and t-based significance.
 
-Everything downstream (lag search, bounds test, long-run inference) funnels
-through one factorization, so this module is deliberately conservative: it
-runs in extended precision (`np.longdouble`) as a column-pivoted Householder
-QR, never through the normal equations. `householder` factors a stack of
-same-width systems at once and gives each system the bits it would get
-alone; `ols` and `wald_f`'s refit call it with one system, the SIC lag
-search with stacks of candidates (`stacked_rss`). Rank problems fail loudly
-in `ols` with the offending column names.
+Every least-squares fit in the package goes through one of two kernels,
+never through the normal equations:
+
+- `householder`, a column-pivoted Householder QR in extended precision
+  (`np.longdouble`) that factors a stack of same-width systems at once and
+  gives each system the bits it would get alone. `ols` is the only code
+  that solves for coefficients: it factors its one system, checks rank with
+  `weak_pivots` and takes beta and the covariance from the R^-1 that
+  `inverse_upper` builds. Every caller that needs only a residual sum of
+  squares reads `stacked_rss`: `wald_f`'s restricted refit and
+  `critval._f_stat` on a stack of one, the SIC lag search on stacks of
+  candidates.
+- `critval._f_batch`, a batched float64 LAPACK QR (`np.linalg.qr`) of the
+  Monte Carlo systems. Its `_screen` certifies each system's rank and RSS
+  from the float64 factor; a system it does not clear falls back to the
+  long-double `_f_stat`.
+
+Rank problems fail loudly in `ols` with the offending column names.
 """
 
 from __future__ import annotations
@@ -173,33 +183,6 @@ def weak_pivots(A: np.ndarray) -> np.ndarray:
     return (d < RANK_RTOL * largest) | (largest == 0.0)
 
 
-def _back_substitute(R: np.ndarray, z: np.ndarray) -> np.ndarray:
-    p = R.shape[0]
-    b = np.zeros(p, dtype=R.dtype)
-    for i in range(p - 1, -1, -1):
-        b[i] = (z[i] - np.dot(R[i, i + 1 :], b[i + 1 :])) / R[i, i]
-    return b
-
-
-def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
-    """Longdouble QR solve. Returns (beta, residuals, rss, R, piv)."""
-    Xl = np.array(X, dtype=np.longdouble, order="C")
-    yl = np.asarray(y, dtype=np.longdouble)
-    A, z = Xl[None].copy(), yl[None].copy()
-    piv = householder(A, z)[0]
-    weak = weak_pivots(A)[0]
-    if weak.all():
-        raise RankDeficientError(names)
-    if weak.any():
-        raise RankDeficientError(tuple(names[piv[j]] for j in np.nonzero(weak)[0]))
-    R = A[0, : len(piv)]
-    bp = _back_substitute(R, z[0, : len(piv)])
-    beta = np.empty_like(bp)
-    beta[piv] = bp
-    resid = yl - Xl @ beta
-    return beta, resid, float(np.dot(resid, resid)), R, piv
-
-
 def stacked_rss(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     """RSS of the least-squares fit of each z[b] on A[b], by `householder`,
     which overwrites both stacks.
@@ -278,12 +261,22 @@ def ols(X, y, names: tuple[str, ...] | None = None) -> OlsFit:
     if n <= p:
         raise ValueError(f"need more observations than parameters (n={n}, p={p})")
 
-    beta, resid, rss, R, piv = _solve_ls(X, y, tuple(names))
+    Xl, yl = X.astype(np.longdouble), y.astype(np.longdouble)
+    A, z = Xl[None].copy(), yl[None].copy()
+    piv = householder(A, z)[0]
+    weak = weak_pivots(A)[0]
+    if weak.all():
+        raise RankDeficientError(tuple(names))
+    if weak.any():
+        raise RankDeficientError(tuple(names[piv[j]] for j in np.nonzero(weak)[0]))
+    # beta = P R^{-1} Q'y, and (X'X)^{-1} = P R^{-1} R^{-T} P'
+    Rinv = inverse_upper(A[:, :p])[0]
+    beta = np.empty(p, dtype=np.longdouble)
+    beta[piv] = Rinv @ z[0, :p]
+    resid = yl - Xl @ beta
     dof = n - p
-    sigma2 = rss / dof
-    # (X'X)^{-1} = R^{-1} R^{-T}, unpermuted
-    Rinv = inverse_upper(R[None])[0]
-    inv_gram = np.empty((p, p), dtype=R.dtype)
+    sigma2 = float(resid @ resid) / dof
+    inv_gram = np.empty((p, p), dtype=np.longdouble)
     inv_gram[np.ix_(piv, piv)] = Rinv @ Rinv.T
     cov = sigma2 * inv_gram
     cov = 0.5 * (cov + cov.T)  # exact symmetry
@@ -293,7 +286,7 @@ def ols(X, y, names: tuple[str, ...] | None = None) -> OlsFit:
         coefficients=_freeze(beta.astype(np.float64)),
         stderr=_freeze(stderr.astype(np.float64)),
         residuals=_freeze(resid.astype(np.float64)),
-        sigma2=float(sigma2),
+        sigma2=sigma2,
         covariance=_freeze(cov.astype(np.float64)),
         n_obs=n,
         n_params=p,
@@ -306,8 +299,8 @@ def ols(X, y, names: tuple[str, ...] | None = None) -> OlsFit:
 def wald_f(fit: OlsFit, restricted) -> float:
     """F statistic for the joint null that the given coefficients are zero.
 
-    The restricted model is re-estimated with those columns deleted and the
-    statistic computed from the RSS difference:
+    The restricted model's RSS is read from `stacked_rss` on the design with
+    those columns deleted, and the statistic computed from the difference:
 
         F = ((RSS_r - RSS_f) / q) / (RSS_f / (n - p))
 
@@ -315,6 +308,8 @@ def wald_f(fit: OlsFit, restricted) -> float:
 
     Raises
     ------
+    RankDeficientError
+        If the restricted design is rank deficient (naming the columns).
     ValueError
         If the restriction covers every column (no regressor remains), or if
         an index is out of range.
@@ -329,8 +324,12 @@ def wald_f(fit: OlsFit, restricted) -> float:
         raise ValueError("cannot restrict every column; no regressors would remain")
 
     keep = [j for j in range(p) if j not in restricted]
-    names_r = tuple(fit.column_names[j] for j in keep)
-    _, _, rss_r, _, _ = _solve_ls(fit.X[:, keep], fit.y, names_r)
+    X_r = fit.X[:, keep]
+    A = np.ascontiguousarray(X_r, np.longdouble)[None]
+    rss_r = stacked_rss(A, fit.y.astype(np.longdouble)[None])[0]
+    if math.isnan(rss_r):
+        # the same factorization fails in `ols`, which names the dependent columns
+        ols(X_r, fit.y, tuple(fit.column_names[j] for j in keep))
     rss_f = fit.rss
     q = len(restricted)
     f = ((rss_r - rss_f) / q) / (rss_f / fit.dof)

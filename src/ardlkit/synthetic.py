@@ -108,7 +108,10 @@ def write_demo_data(directory, seed: int = 0, max_lag: int = 2) -> tuple[Path, P
 
     Returns (manifest_path, config_path). `max_lag` lands in the config; at
     the default a full 21x6 batch takes about 6 s on one worker of a 2-vCPU host.
+    A negative `max_lag` raises ValueError before any file is written.
     """
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

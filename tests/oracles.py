@@ -49,23 +49,42 @@ def normal_equations_mp(X: np.ndarray, y: np.ndarray, dps: int = 30):
     Accurate to far below 1e-8 even at condition(X) = 1e8, where the gram's
     condition reaches 1e16.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = X.shape
+    p = np.shape(X)[1]
     with mp.workdps(dps):
-        G = mp.matrix(p, p)
-        c = mp.matrix(p, 1)
-        for i in range(p):
-            s, r = _dd_dot(X[:, i], y)
-            c[i] = mp.mpf(s) + mp.mpf(r)
-            for j in range(i, p):
-                s, r = _dd_dot(X[:, i], X[:, j])
-                G[i, j] = G[j, i] = mp.mpf(s) + mp.mpf(r)
+        G, c = _gram_mp(X, y)
         Ginv = G ** -1
         beta = Ginv * c
         beta_out = np.array([float(beta[i]) for i in range(p)])
         ginv_out = np.array([[float(Ginv[i, j]) for j in range(p)] for i in range(p)])
     return beta_out, ginv_out
+
+
+def rss_mp(X: np.ndarray, y: np.ndarray, dps: int = 40) -> float:
+    """High-precision residual sum of squares y'y - c'G^-1 c of the least
+    squares fit of y on X, with G = X'X and c = X'y accumulated in
+    double-double as in `normal_equations_mp`."""
+    y = np.asarray(y, dtype=np.float64)
+    with mp.workdps(dps):
+        G, c = _gram_mp(X, y)
+        s, r = _dd_dot(y, y)
+        return float(mp.mpf(s) + mp.mpf(r) - (c.T * G ** -1 * c)[0])
+
+
+def _gram_mp(X: np.ndarray, y: np.ndarray):
+    """(X'X, X'y) as mpmath matrices at the current precision, each entry a
+    double-double dot product."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    p = X.shape[1]
+    G = mp.matrix(p, p)
+    c = mp.matrix(p, 1)
+    for i in range(p):
+        s, r = _dd_dot(X[:, i], y)
+        c[i] = mp.mpf(s) + mp.mpf(r)
+        for j in range(i, p):
+            s, r = _dd_dot(X[:, i], X[:, j])
+            G[i, j] = G[j, i] = mp.mpf(s) + mp.mpf(r)
+    return G, c
 
 
 def conditioned_problem(n: int, p: int, cond: float, resid_scale: float, rng):

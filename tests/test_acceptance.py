@@ -27,7 +27,6 @@ from ardlkit import (
     RunConfig,
     Shape,
     Significance,
-    build_design,
     decide,
     estimate_uecm,
     fit_ardl,
@@ -40,6 +39,7 @@ from ardlkit import (
     simulate_bounds,
     turning_point,
 )
+from ardlkit.ardl import _design
 from ardlkit.batch import RESULT_SCHEMA
 from ardlkit.timeseries import AlignedFrame
 
@@ -194,7 +194,7 @@ def test_criterion_4_lag_search(capfd):
         best = None
         for m, q1, q2 in itertools.product(range(1, 4), range(4), range(4)):
             order = LagOrder(m, (q1, q2))
-            design = build_design(frame, QUAD, order, common_lag=3)
+            design = _design(frame, QUAD, order, 4)
             value = sic(ols(design.X, design.y))
             key = (value, order.total, order.as_tuple())
             if best is None or key < best:

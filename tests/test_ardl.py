@@ -133,12 +133,15 @@ def test_design_column_count_formula():
 
 
 def test_design_common_lag_trims_sample():
+    # the lag search's common sample at max_lag 4 starts every order's
+    # design at row 5: the tail of the order's maximal-sample design
     f = _quad_frame(58)
-    d = build_design(f, QUAD, LagOrder(1, (0, 0)), common_lag=4)
+    d = ardl._design(f, QUAD, LagOrder(1, (0, 0)), 5)
     assert d.X.shape[0] == 53
     assert d.first_year == 1965
-    with pytest.raises(ValueError, match="common_lag"):
-        build_design(f, QUAD, LagOrder(3, (0, 0)), common_lag=2)
+    maximal = build_design(f, QUAD, LagOrder(1, (0, 0)))
+    np.testing.assert_array_equal(d.X, maximal.X[-53:])
+    np.testing.assert_array_equal(d.y, maximal.y[-53:])
 
 
 def test_design_no_intercept():
@@ -180,7 +183,7 @@ def test_select_lags_equals_bruteforce():
             for q1 in range(max_lag + 1):
                 for q2 in range(max_lag + 1):
                     lo = LagOrder(m, (q1, q2))
-                    d = build_design(f, spec, lo, common_lag=max_lag)
+                    d = ardl._design(f, spec, lo, max_lag + 1)
                     s = sic(ols(d.X, d.y))
                     key = (s, lo.total, lo.as_tuple())
                     if best is None or key < best:
@@ -198,7 +201,7 @@ def test_select_lags_sic_beats_every_grid_point():
     for m in range(1, 3):
         for q1 in range(3):
             for q2 in range(3):
-                d = build_design(f, QUAD, LagOrder(m, (q1, q2)), common_lag=2)
+                d = ardl._design(f, QUAD, LagOrder(m, (q1, q2)), 3)
                 assert res.sic <= sic(ols(d.X, d.y)) + 1e-9
 
 
@@ -257,8 +260,8 @@ def _walk_frame(rng, n, spec):
 @pytest.mark.parametrize("include_intercept", [True, False])
 def test_design_tags_pick_each_orders_columns(k, include_intercept):
     # the search takes each order's columns from the full design by its
-    # tags: they must be build_design's for that order on the common sample,
-    # and the width table must count them
+    # tags: they must be that order's own design on the common sample, and
+    # the width table must count them
     spec = _spec(k, include_intercept)
     frame = _walk_frame(np.random.default_rng(70 + k), 60, spec)
     for max_lag in range(4):
@@ -267,19 +270,18 @@ def test_design_tags_pick_each_orders_columns(k, include_intercept):
         grid = ardl._lag_grid(k, max_lag)
         widths = ardl._Scores(full, k, max_lag).width(grid)
         for order, keep, width in zip(grid.tolist(), ardl._keeps(full, grid), widths):
-            d = build_design(frame, spec, LagOrder(order[0], order[1:]), common_lag=top)
+            d = ardl._design(frame, spec, LagOrder(order[0], order[1:]), top + 1)
             assert tuple(n for n, kept in zip(full.column_names, keep) if kept) == d.column_names
             np.testing.assert_array_equal(full.X[:, keep], d.X)
             assert width == keep.sum() == d.X.shape[1]
 
 
 def _reference_sic(frame, spec, vec, max_lag):
-    """SIC of one order by the per-candidate route (build_design on the
+    """SIC of one order by the per-candidate route (its design on the
     common sample, then stacked_rss on a stack of one); None when the order
     is skipped."""
-    try:
-        d = build_design(frame, spec, LagOrder(vec[0], vec[1:]), common_lag=max(1, max_lag))
-    except ValueError:
+    d = ardl._design(frame, spec, LagOrder(vec[0], vec[1:]), max(1, max_lag) + 1)
+    if d.X.shape[0] <= d.X.shape[1]:
         return None
     rss = stacked_rss(d.X.astype(np.longdouble)[None], d.y.astype(np.longdouble)[None])[0]
     return None if np.isnan(rss) else float(sic_from_rss(rss, *d.X.shape))
@@ -376,7 +378,7 @@ def test_select_lags_scores_small_orders_when_the_full_design_is_saturated():
     spec = _spec(2)
     frame = _walk_frame(np.random.default_rng(29), 16, spec)
     with pytest.raises(ValueError, match="insufficient sample"):
-        build_design(frame, spec, LagOrder(3, (3, 3)), common_lag=3)
+        build_design(frame, spec, LagOrder(3, (3, 3)))
     res = select_lags(frame, spec, max_lag=3)
     _assert_same_search(res, _reference_select(frame, spec, 3))
     assert 0 < res.n_skipped < res.n_evaluated

@@ -117,6 +117,22 @@ def test_critval_rejects_bad_arguments(capsys):
         assert "error: workers must be >= 1" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_workers(run_config, capsys):
+    path, base = run_config
+    for workers in ("0", "-3"):
+        assert main(["run", "--config", str(path), "--workers", workers]) == 2
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+    assert not (base / "out").exists()
+
+
+def test_demo_data_rejects_negative_max_lag(tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    assert main(["demo-data", "--dir", str(target), "--max-lag", "-1"]) == 2
+    assert "error: max_lag must be >= 0" in capsys.readouterr().err
+    assert list(target.iterdir()) == []
+
+
 def test_inspect_command(run_config, capsys):
     path, _ = run_config
     code = main(["inspect", "--config", str(path), "--country", "MEX", "--model", "M1"])

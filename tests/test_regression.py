@@ -1,5 +1,6 @@
 """Tests for the least-squares core."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     conditioned_problem,
     exact_rational_lstsq,
     normal_equations_mp,
+    rss_mp,
     student_t_pvalue_mp,
 )
 
@@ -129,6 +131,31 @@ def test_column_permutation_permutes_coefficients():
     assert np.allclose(fit_p.coefficients, fit.coefficients[perm], rtol=1e-11, atol=1e-14)
 
 
+def _pivoting_problem(rng, n=60):
+    """Columns scaled so that the pivoted QR takes them far out of order,
+    with a response in which every column carries signal."""
+    scales = np.array([1.0, 1e-3, 10.0, 1e2, 0.1, 1e3])
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 5))]) * scales
+    beta = rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.0, 6) / scales
+    y = X @ beta + 0.5 * rng.standard_normal(n)
+    return X, y
+
+
+def test_pivoted_coefficients_match_high_precision_oracle():
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        X, y = _pivoting_problem(rng)
+        piv = householder(X.astype(np.longdouble)[None], y.astype(np.longdouble)[None])[0]
+        assert (piv != np.arange(6)).sum() >= 4
+        fit = ols(X, y)
+        beta_ref, ginv_ref = normal_equations_mp(X, y)
+        # each coefficient lands on its own column, to near working precision
+        np.testing.assert_allclose(fit.coefficients, beta_ref, rtol=1e-12, atol=0)
+        se_ref = np.sqrt(fit.sigma2 * np.diag(ginv_ref))
+        np.testing.assert_allclose(fit.stderr, se_ref, rtol=1e-12, atol=0)
+        assert fit.rss == pytest.approx(rss_mp(X, y), rel=1e-12)
+
+
 def test_rank_deficient_duplicate_column():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(30)
@@ -170,6 +197,36 @@ def test_wald_equals_quadratic_form():
         V = fit.covariance[np.ix_(idx, idx)]
         quad = float(b @ np.linalg.solve(V, b)) / k
         assert np.isclose(wald_f(fit, idx), quad, rtol=1e-6)
+
+
+def test_wald_matches_high_precision_rss_pair():
+    rng = np.random.default_rng(73)
+    n, p = 60, 6
+    for _ in range(3):
+        X, y = _pivoting_problem(rng, n)
+        fit = ols(X, y)
+        rss_f = rss_mp(X, y)
+        for restricted in ([1], [0, 3], [2, 4, 5], [1, 2, 3, 4, 5]):
+            keep = [j for j in range(p) if j not in restricted]
+            q = len(restricted)
+            ref = ((rss_mp(X[:, keep], y) - rss_f) / q) / (rss_f / (n - p))
+            assert ref > 1.0
+            assert wald_f(fit, restricted) == pytest.approx(ref, rel=1e-10)
+
+
+def test_wald_rank_deficient_restricted_design_names_its_columns():
+    # ols never returns such a fit; a fit whose retained X was altered
+    # reaches the restricted refit's rank check
+    rng = np.random.default_rng(79)
+    a = rng.standard_normal(30)
+    X = np.column_stack([np.ones(30), a, rng.standard_normal((30, 2))])
+    fit = ols(X, rng.standard_normal(30), names=("const", "a", "b", "c"))
+    bad = X.copy()
+    bad[:, 2] = 2.0 * a
+    with pytest.raises(RankDeficientError) as err:
+        wald_f(dataclasses.replace(fit, X=bad), [3])
+    assert err.value.columns == ("a",)
+    assert "dependent columns: a" in str(err.value)
 
 
 def test_wald_zero_for_exactly_zero_coefficient():
